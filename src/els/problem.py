@@ -157,6 +157,9 @@ def _rows_from_json(raw, what: str) -> list:
         for x in r:
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ParseError(f"{what} entries must be numbers, got {x!r}")
+    lengths = sorted({len(r) for r in raw})
+    if len(lengths) > 1:
+        raise ParseError(f"{what} rows must have equal lengths, got lengths {lengths}")
     return raw
 
 
@@ -188,8 +191,6 @@ def parse_problem(text: str) -> ElsProblem:
         except ValidationError as exc:
             raise ValidationError(f"constraint {i}: {exc}") from exc
     A0 = np.array(_rows_from_json(doc["A0"], "A0"), dtype=float)
-    if A0.ndim != 2:
-        A0 = A0.reshape(doc["p"], doc["n"])
     return ElsProblem(n=doc["n"], p=doc["p"], A0=A0, constraints=constraints)
 
 

@@ -69,15 +69,23 @@ def membership_g2(query: RangeQuery, cfg: SolverConfig | None = None) -> G2Membe
     return G2Membership(feasible=True, X=sol.X, max_residual=resid)
 
 
-def recover_g1(query: RangeQuery, cfg: SolverConfig | None = None, rank_tol: float = DEFAULT_TOL):
+def recover_g1(
+    query: RangeQuery,
+    cfg: SolverConfig | None = None,
+    rank_tol: float = DEFAULT_TOL,
+    member: G2Membership | None = None,
+):
     """Recover a manifold preimage of the target, witnessing it in G1.
 
     Returns a StiefelPoint on success.  Returns an InexactnessReport when
     the target is not attained over the ball at all, or when rank reduction
-    fails (only possible outside the p <= n - k regime).
+    fails (only possible outside the p <= n - k regime).  A ``member``
+    already computed by ``membership_g2`` for this query is used instead of
+    solving again.
     """
     cfg = cfg or SolverConfig()
-    member = membership_g2(query, cfg)
+    if member is None:
+        member = membership_g2(query, cfg)
     if not member.feasible:
         return InexactnessReport(reason="target is not attained over the spectral ball")
     prob = query.problem()
@@ -100,7 +108,7 @@ def probe_rows(
         recovered = False
         residual = float("inf")
         if member.feasible:
-            outcome = recover_g1(q, cfg)
+            outcome = recover_g1(q, cfg, member=member)
             if isinstance(outcome, StiefelPoint):
                 recovered = True
                 residual = outcome.max_residual

@@ -10,6 +10,8 @@ equalities in the Newton KKT system.
 Phase-I minimizes a single elastic slack tau that relaxes every finite bound
 by +/- tau, starting from X = 0 which is always strictly inside the ball; the
 instance is declared infeasible when the optimal tau exceeds ``feas_tol``.
+A bound outside the range [-||A_i||_*, ||A_i||_*] of tr(A_i X) over the ball
+is declared infeasible before phase I.
 
 The path follows the analytic center, so the returned optimum has maximal
 rank within the optimal face; rank purification is delegated to the
@@ -64,15 +66,6 @@ class CrSolution:
     gap_estimate: float
 
 
-def _commutation(n: int, p: int) -> np.ndarray:
-    """K with K @ vec(V) = vec(V.T) for V of shape (n, p), column-stacked."""
-    K = np.zeros((n * p, n * p))
-    for i in range(n):
-        for j in range(p):
-            K[j + i * p, i + j * n] = 1.0
-    return K
-
-
 @dataclass
 class _Row:
     """Linear row <A, X> + g.w with two-sided bounds."""
@@ -90,7 +83,6 @@ class _CoreResult:
     gap: float
     status: str
     newton_used: int
-    stopped_early: bool = False
 
 
 class _BallProgram:
@@ -104,7 +96,6 @@ class _BallProgram:
         self.n, self.p, self.q = n, p, q
         self.dim = n * p + q
         self.c = c
-        self.K = _commutation(n, p)
         self._eye_p = np.eye(p)
         self._eye_n = np.eye(n)
 
@@ -153,8 +144,8 @@ class _BallProgram:
             return False
         return True
 
-    def grad_hess(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the full barrier at a strictly feasible z."""
+    def _grad_parts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradient at z, with X and the symmetrized inverse Si of I - X.T @ X."""
         n, p = self.n, self.p
         X, _ = self.unpack(z)
         S = self._eye_p - X.T @ X
@@ -163,20 +154,36 @@ class _BallProgram:
 
         g = np.zeros(self.dim)
         g[: n * p] = (2.0 * X @ Si).ravel(order="F")
+        if self.RU.shape[0]:
+            g += self.RU.T @ (1.0 / (self.bu - self.RU @ z))
+        if self.RL.shape[0]:
+            g -= self.RL.T @ (1.0 / (self.RL @ z - self.bl))
+        return g, X, Si
+
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        """Gradient of the full barrier at a strictly feasible z."""
+        return self._grad_parts(z)[0]
+
+    def grad_hess(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the full barrier at a strictly feasible z.
+
+        The ball's Hessian is 2 (Si (x) I + Si (x) X Si X.T + (Si X.T (x) X Si) K)
+        with K the commutation matrix.  The last term only permutes columns,
+        so its entries are written out as single products instead.
+        """
+        n, p = self.n, self.p
+        g, X, Si = self._grad_parts(z)
         XSi = X @ Si
         Hx = 2.0 * np.kron(Si, self._eye_n)
         Hx += 2.0 * np.kron(Si, XSi @ X.T)
-        Hx += 2.0 * np.kron(Si @ X.T, XSi) @ self.K
+        Hx += 2.0 * np.einsum("aj,bi->baji", XSi, Si @ X.T).reshape(n * p, n * p)
         H = np.zeros((self.dim, self.dim))
         H[: n * p, : n * p] = Hx
-
         if self.RU.shape[0]:
             su = self.bu - self.RU @ z
-            g += self.RU.T @ (1.0 / su)
             H += (self.RU / su[:, None] ** 2).T @ self.RU
         if self.RL.shape[0]:
             sl = self.RL @ z - self.bl
-            g -= self.RL.T @ (1.0 / sl)
             H += (self.RL / sl[:, None] ** 2).T @ self.RL
         return g, 0.5 * (H + H.T)
 
@@ -202,7 +209,7 @@ class _BallProgram:
         return None, None
 
     def _residual(self, z, nu, t):
-        g, _ = self.grad_hess(z)
+        g = self.grad(z)
         rd = t * self.c + g + (self.R_eq.T @ nu if self.m_eq else 0.0)
         rp = self.R_eq @ z - self.b_eq if self.m_eq else np.zeros(0)
         return math.sqrt(float(rd @ rd) + float(rp @ rp))
@@ -252,13 +259,12 @@ class _BallProgram:
                 return z, nu, used, bool(pri_ok and dec <= 0.25)
         return z, nu, used, bool(dec <= 0.25)
 
-    def solve(self, z0, cfg: SolverConfig, gap_target, early_stop=None) -> _CoreResult:
+    def solve(self, z0, cfg: SolverConfig, gap_target) -> _CoreResult:
         """Follow the central path from the strictly feasible z0."""
         z = z0.copy()
         nu = np.zeros(self.m_eq)
         t = 1.0
         used = 0
-        stopped_early = False
         status = _STATUS_FAILURE
         for _ in range(_MAX_OUTER):
             z, nu, inner, ok = self._center(z, nu, t, cfg.max_newton - used)
@@ -268,10 +274,6 @@ class _BallProgram:
                 break
             value = float(self.c @ z)
             gap = self.nu_barrier / t
-            if early_stop is not None and early_stop(z):
-                status = _STATUS_OPTIMAL
-                stopped_early = True
-                break
             if gap <= gap_target(value):
                 status = _STATUS_OPTIMAL
                 break
@@ -285,7 +287,6 @@ class _BallProgram:
             gap=self.nu_barrier / t,
             status=status,
             newton_used=used,
-            stopped_early=stopped_early,
         )
 
 
@@ -411,6 +412,21 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, floa
     return False, X, tau, _STATUS_OPTIMAL
 
 
+def _beyond_reach(prob: ElsProblem, feas_tol: float) -> bool:
+    """True when a finite bound lies outside [-||A_i||_*, ||A_i||_*], the exact
+    range of tr(A_i X) over the ball, by more than feas_tol (1 + ||A_i||_*).
+
+    Phase I cannot decide such bounds once they are so large that its start
+    tau0 + 1 rounds to tau0.
+    """
+    for c in prob.constraints:
+        reach = float(np.linalg.norm(c.A, "nuc"))
+        limit = reach + feas_tol * (1.0 + reach)
+        if c.lower > limit or c.upper < -limit:
+            return True
+    return False
+
+
 def _zero_start_ok(prob: ElsProblem) -> bool:
     """True when X = 0 is strictly feasible for every finite inequality bound
     and exactly satisfies every equality row."""
@@ -433,7 +449,7 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
     obj_norm = float(np.linalg.norm(prob.A0))
 
     kept, zero_infeasible = _effective_constraints(prob)
-    if zero_infeasible:
+    if zero_infeasible or _beyond_reach(prob, cfg.feas_tol):
         return CrSolution(
             X=np.zeros((n, p)), value=math.inf, status=_STATUS_INFEASIBLE, gap_estimate=math.inf
         )

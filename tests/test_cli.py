@@ -181,3 +181,19 @@ def test_batch_continues_past_failures(tmp_path):
     assert rows[0]["status"] == "optimal"
     assert rows[1]["status"] == "error"
     assert rows[2]["status"] == "optimal"
+
+
+def test_batch_reports_ragged_rows_per_file(tmp_path):
+    d = tmp_path / "batch"
+    d.mkdir()
+    for name in ("example-4.1.json", "example-4.2.json"):
+        (d / name).write_text((FIXDIR / name).read_text())
+    (d / "ragged.json").write_text(json.dumps({"n": 3, "p": 2, "A0": [[1, 0, 0], [0, 1]]}))
+    out = tmp_path / "summary.json"
+    res = run_cli("batch", str(d), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(out.read_text())["instances"]
+    assert [r["file"] for r in rows] == ["example-4.1.json", "example-4.2.json", "ragged.json"]
+    assert rows[0]["status"] == "optimal" and rows[1]["status"] == "optimal"
+    assert rows[2]["status"] == "error"
+    assert "equal lengths" in rows[2]["error"]

@@ -55,6 +55,12 @@ def test_parse_rejects_malformed():
         parse_problem('{"n": 2, "p": 1}')
     with pytest.raises(ParseError):
         parse_problem('{"n": 2, "p": 1, "A0": [[1, 2]], "constraints": [{"A": [[1, 0]], "lower": "oops"}]}')
+    with pytest.raises(ParseError, match="A0 rows must have equal lengths"):
+        parse_problem('{"n": 3, "p": 2, "A0": [[1, 0, 0], [0, 1]]}')
+    with pytest.raises(ParseError, match="constraint 0 matrix rows"):
+        parse_problem('{"n": 2, "p": 2, "A0": [[1, 0], [0, 1]], "constraints": [{"A": [[1], [0, 1]]}]}')
+    with pytest.raises(ParseError, match="piece 0 rows"):
+        parse_minimax_problem('{"n": 2, "p": 2, "A0": [[0, 0], [0, 0]], "pieces": [{"A": [[1], [1, 0]]}]}')
 
 
 def test_parse_rejects_bad_bounds():

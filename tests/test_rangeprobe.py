@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import els.rangeprobe
 from els.linalg import random_stiefel, thin_svd
 from els.problem import StiefelPoint
 from els.rangeprobe import RangeQuery, membership_g2, probe_rows, recover_g1
@@ -105,3 +106,29 @@ def test_probe_rows_shape():
     assert rows[0]["g2_feasible"] and rows[0]["g1_recovered"]
     assert rows[0]["residual"] <= 1e-6
     assert not rows[1]["g2_feasible"] and not rows[1]["g1_recovered"]
+
+
+def test_probe_rows_solves_each_query_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    matrices = [rng.standard_normal((2, 5)) for _ in range(2)]
+    query = RangeQuery(matrices=matrices, target=image(matrices, random_stiefel(5, 2, rng)))
+    member = membership_g2(query, CFG)
+    outcome = recover_g1(query, CFG)
+    assert member.feasible and isinstance(outcome, StiefelPoint)
+    expected = {
+        "target": query.target.tolist(),
+        "g2_feasible": True,
+        "g1_recovered": True,
+        "residual": outcome.max_residual,
+    }
+
+    calls = []
+    solve_cr = els.rangeprobe.solve_cr
+
+    def counting_solve_cr(*args, **kwargs):
+        calls.append(args)
+        return solve_cr(*args, **kwargs)
+
+    monkeypatch.setattr(els.rangeprobe, "solve_cr", counting_solve_cr)
+    assert probe_rows([query], CFG) == [expected]
+    assert len(calls) == 1

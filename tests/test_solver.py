@@ -68,6 +68,78 @@ def test_barrier_derivatives_match_finite_differences():
         assert np.allclose(H[:, i], (gp - gm) / (2 * eps), atol=1e-4)
 
 
+def _commutation(n, p):
+    """K with K @ vec(V) = vec(V.T) for V of shape (n, p), column-stacked."""
+    K = np.zeros((n * p, n * p))
+    for i in range(n):
+        for j in range(p):
+            K[j + i * p, i + j * n] = 1.0
+    return K
+
+
+def _reference_grad_hess(prog, z):
+    """The barrier derivatives with the commuted Hessian term taken as a
+    product with the commutation matrix, in the same operation order."""
+    n, p = prog.n, prog.p
+    X, _ = prog.unpack(z)
+    Si = np.linalg.inv(np.eye(p) - X.T @ X)
+    Si = 0.5 * (Si + Si.T)
+    g = np.zeros(prog.dim)
+    g[: n * p] = (2.0 * X @ Si).ravel(order="F")
+    XSi = X @ Si
+    Hx = 2.0 * np.kron(Si, np.eye(n))
+    Hx += 2.0 * np.kron(Si, XSi @ X.T)
+    Hx += 2.0 * np.kron(Si @ X.T, XSi) @ _commutation(n, p)
+    H = np.zeros((prog.dim, prog.dim))
+    H[: n * p, : n * p] = Hx
+    if prog.RU.shape[0]:
+        su = prog.bu - prog.RU @ z
+        g += prog.RU.T @ (1.0 / su)
+        H += (prog.RU / su[:, None] ** 2).T @ prog.RU
+    if prog.RL.shape[0]:
+        sl = prog.RL @ z - prog.bl
+        g -= prog.RL.T @ (1.0 / sl)
+        H += (prog.RL / sl[:, None] ** 2).T @ prog.RL
+    return g, 0.5 * (H + H.T)
+
+
+def _assert_structured_hessian_exact(prog, z):
+    assert prog.strictly_feasible(z)
+    g, H = prog.grad_hess(z)
+    g_ref, H_ref = _reference_grad_hess(prog, z)
+    assert np.array_equal(g, g_ref)
+    assert np.array_equal(H, H_ref)
+    assert np.array_equal(prog.grad(z), g)
+
+
+def test_structured_hessian_matches_commutation_formula_one_sided_rows():
+    rng = np.random.default_rng(10)
+    for n, p in ((3, 2), (7, 3), (12, 4)):
+        rows = [
+            _Row(A=rng.standard_normal((p, n)), g=None, lower=-math.inf, upper=1.0),
+            _Row(A=rng.standard_normal((p, n)), g=None, lower=-1.0, upper=math.inf),
+            _Row(A=rng.standard_normal((p, n)), g=None, lower=-2.0, upper=2.0),
+        ]
+        prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
+        assert prog.RU.shape[0] == 2 and prog.RL.shape[0] == 2
+        _assert_structured_hessian_exact(prog, 0.3 * rng.standard_normal(prog.dim) / n)
+
+
+def test_structured_hessian_matches_commutation_formula_with_equality_row():
+    rng = np.random.default_rng(11)
+    for n, p in ((4, 2), (9, 3)):
+        rows = [
+            _Row(A=rng.standard_normal((p, n)), g=np.array([0.0]), lower=0.5, upper=0.5),
+            _Row(A=rng.standard_normal((p, n)), g=np.array([-1.0]), lower=-math.inf, upper=1.0),
+            _Row(A=rng.standard_normal((p, n)), g=np.array([1.0]), lower=-1.0, upper=math.inf),
+        ]
+        c = np.concatenate([np.zeros(n * p), [1.0]])
+        prog = _BallProgram(n, p, 1, c, rows)
+        assert prog.m_eq == 1 and prog.dim == n * p + 1
+        z = np.concatenate([0.3 * rng.standard_normal(n * p) / n, [0.2]])
+        _assert_structured_hessian_exact(prog, z)
+
+
 def test_solve_ls_svd_identity():
     point, value = solve_ls_svd(np.eye(2))
     assert value == pytest.approx(-2.0)
@@ -168,6 +240,50 @@ def test_solve_cr_detects_infeasible():
     sol = solve_cr(prob)
     assert sol.status == "infeasible"
     assert sol.value == math.inf
+
+
+def _slack_instance_622(rng):
+    """A (6,2,2) instance with two-sided slack bounds around a Stiefel point."""
+    Xbar = random_stiefel(6, 2, rng)
+    cons = []
+    for _ in range(2):
+        A = rng.standard_normal((2, 6))
+        v = float(np.trace(A @ Xbar))
+        cons.append(LinearConstraint(A=A, lower=v - 0.5, upper=v + 0.5))
+    return ElsProblem(n=6, p=2, A0=rng.standard_normal((2, 6)), constraints=cons)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_solve_cr_huge_bound_is_infeasible(side):
+    # 1e16 + 1 == 1e16, so phase I's elastic start has no slack for this
+    # row; the bound lies far beyond ||A_1||_*, which no ball point exceeds
+    prob = _slack_instance_622(np.random.default_rng(12))
+    first = prob.constraints[0]
+    if side == "lower":
+        first.lower, first.upper = 1e16, math.inf
+    else:
+        first.lower, first.upper = -math.inf, -1e16
+    sol = solve_cr(prob)
+    assert sol.status == "infeasible"
+    assert sol.value == math.inf
+
+
+def test_solve_cr_bounds_at_nuclear_norm_stay_feasible():
+    # tr(A_1 X) ranges exactly over [-||A_1||_*, ||A_1||_*] on the ball, so
+    # bounds at both ends leave the instance feasible and the value at the
+    # unconstrained optimum -||A0||_*
+    prob = _slack_instance_622(np.random.default_rng(13))
+    first = prob.constraints[0]
+    reach = float(np.linalg.svd(first.A, compute_uv=False).sum())
+    first.lower, first.upper = -reach, reach
+    prob.constraints = [first]
+    sol = solve_cr(prob)
+    assert sol.status == "optimal"
+    assert sol.value == pytest.approx(solve_ls_svd(prob.A0)[1], abs=1e-6)
+    # a lower bound of exactly ||A_1||_* is attained at one Stiefel point
+    first.lower, first.upper = reach, math.inf
+    assert solve_cr(prob).status != "infeasible"
 
 
 def test_solve_cr_feasibility_of_returned_point():
