@@ -22,15 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .fixtures import build_fixture
-from .lift import (
-    ExactnessConditions,
-    LiftedConstraintSet,
-    LiftedSolution,
-    exactness_conditions,
-    extract_X,
-    lift_constraints,
-    lift_point,
-)
+from .lift import ExactnessConditions, exactness_conditions, lift_constraints, lift_point
 from .linalg import (
     SymEig,
     numeric_rank,
@@ -56,15 +48,7 @@ from .problem import (
     serialize_problem,
 )
 from .rangeprobe import G2Membership, RangeQuery, membership_g2, recover_g1
-from .reduction import (
-    Direction,
-    InexactnessReport,
-    ReductionState,
-    ReductionStep,
-    factor_state,
-    find_direction,
-    reduce_to_stiefel,
-)
+from .reduction import Direction, InexactnessReport, ReductionStep, find_direction, reduce_to_stiefel
 from .solver import CrSolution, SolverConfig, solve_cr, solve_ls_svd
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import InvalidInput
 from .linalg import DEFAULT_TOL, numeric_rank, nullspace_basis, symmetric_basis
@@ -85,6 +84,9 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     on equality rows, fixed to zero elsewhere.  Solved as a bounded-variable
     linear least-squares problem (active-set iteration).
     """
+    # scipy.optimize takes most of `import els`; only this fit needs it.
+    from scipy.optimize import lsq_linear
+
     X = _point_matrix(prob, Xstar)
     point = residuals(prob, X)
     if not point.feasible(1e-6):

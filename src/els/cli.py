@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ElsError, Infeasible, NoFeasiblePoint
+from .errors import ElsError, Infeasible, InvalidInput, NoFeasiblePoint
 from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .minimax import solve_minimax
@@ -44,10 +44,11 @@ EXIT_USAGE = 3
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("ELS_SEED", "0")
     try:
-        return int(os.environ.get("ELS_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise InvalidInput(f"ELS_SEED must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,7 +184,7 @@ def _cmd_range(args) -> int:
     matrices = [np.array(A, dtype=float) for A in doc["matrices"]]
     targets = doc["targets"] if "targets" in doc else [doc["target"]]
     queries = [RangeQuery(matrices=matrices, target=np.array(t, dtype=float)) for t in targets]
-    rows = probe_rows(queries, _config(args))
+    rows = probe_rows(queries, _config(args), rank_tol=args.rank_tol)
     for row in rows:
         if not math.isfinite(row["residual"]):
             row["residual"] = None

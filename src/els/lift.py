@@ -1,9 +1,13 @@
-"""Lifted (semidefinite) view of an instance.
+"""Lifted (semidefinite) view of an instance, for diagnostics and tests,
+plus the exactness-condition predicates.
 
 A point X is lifted to the (n+p) x (n+p) block matrix
 ``Y = [[I_n, X], [X.T, I_p]]``, which is PSD exactly when X.T @ X <= I_p and
 has rank n exactly when X has orthonormal columns.  Each constraint matrix A
 lifts to ``B = [[0, A.T], [A, 0]] / 2`` so that tr(B @ Y) = tr(A @ X).
+
+Rank reduction (``els.reduction``) works on the factor pair (X, C) and never
+forms these matrices; they are here to check its algebra against the lift.
 """
 
 from __future__ import annotations
@@ -25,25 +29,10 @@ def lift_matrix(A: np.ndarray) -> np.ndarray:
     return B
 
 
-@dataclass
-class LiftedConstraintSet:
-    """Lifted objective and constraint matrices B[0], ..., B[k]."""
-
-    B: list[np.ndarray]
-    n: int
-    p: int
-    k: int
-    problem: ElsProblem
-
-    def trace_values(self, Y: np.ndarray) -> np.ndarray:
-        """tr(B_i @ Y) for i = 0..k."""
-        return np.array([float(np.sum(B * Y)) for B in self.B])
-
-
-def lift_constraints(prob: ElsProblem) -> LiftedConstraintSet:
-    """Lift the objective and every constraint matrix of ``prob``."""
-    B = [lift_matrix(prob.A0)] + [lift_matrix(c.A) for c in prob.constraints]
-    return LiftedConstraintSet(B=B, n=prob.n, p=prob.p, k=prob.k, problem=prob)
+def lift_constraints(prob: ElsProblem) -> np.ndarray:
+    """Lifts B[0], ..., B[k] of the objective and every constraint matrix,
+    stacked as a (k+1, n+p, n+p) array."""
+    return np.stack([lift_matrix(A) for A in prob.trace_matrices()])
 
 
 @dataclass
@@ -63,10 +52,11 @@ class LiftedSolution:
 
 def lift_point(
     X,
-    lifted: LiftedConstraintSet | None = None,
+    lifted: np.ndarray | None = None,
     rank_tol: float = DEFAULT_TOL,
 ) -> LiftedSolution:
-    """Lift an n x p point into its block matrix form."""
+    """Lift an n x p point into its block matrix form; ``lifted`` from
+    ``lift_constraints`` adds the objective tr(B[0] @ Y)."""
     X = as_matrix(X, "X")
     n, p = X.shape
     Y = np.empty((n + p, n + p))
@@ -77,13 +67,16 @@ def lift_point(
     rank = n + numeric_rank(np.eye(p) - X.T @ X, rank_tol)
     objective = None
     if lifted is not None:
-        objective = float(np.sum(lifted.B[0] * Y))
+        objective = float(np.sum(lifted[0] * Y))
     return LiftedSolution(Y=Y, n=n, p=p, rank=rank, objective=objective)
 
 
-def extract_X(sol: LiftedSolution) -> np.ndarray:
-    """Off-diagonal block of a lifted solution."""
-    return sol.Y[: sol.n, sol.n :].copy()
+def lift_factor(X, C) -> np.ndarray:
+    """U = [[I_n, 0], [X.T, C]], so that U @ U.T is the lift of X whenever
+    C @ C.T = I_p - X.T @ X."""
+    X, C = as_matrix(X, "X"), as_matrix(C, "C")
+    n, s = X.shape[0], C.shape[1]
+    return np.block([[np.eye(n), np.zeros((n, s))], [X.T, C]])
 
 
 @dataclass(frozen=True)

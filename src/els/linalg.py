@@ -43,12 +43,13 @@ def _fix_column_signs(U: np.ndarray, partner: np.ndarray | None = None):
     """
     U = U.copy()
     P = None if partner is None else partner.copy()
-    for j in range(U.shape[1]):
-        nz = np.nonzero(np.abs(U[:, j]) > _SIGN_EPS)[0]
-        if nz.size and U[nz[0], j] < 0.0:
-            U[:, j] = -U[:, j]
-            if P is not None:
-                P[:, j] = -P[:, j]
+    if U.size:
+        big = np.abs(U) > _SIGN_EPS
+        first = big.argmax(axis=0)
+        flip = big.any(axis=0) & (U[first, np.arange(U.shape[1])] < 0.0)
+        U[:, flip] = -U[:, flip]
+        if P is not None:
+            P[:, flip] = -P[:, flip]
     if P is None:
         return U
     return U, P

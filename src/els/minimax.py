@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .lift import exactness_conditions, lift_constraints, lift_point
+from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .problem import ElsProblem, LinearConstraint, MinimaxProblem, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
@@ -68,8 +68,7 @@ def solve_minimax(
             continue
         point = None
         if cond.exact:
-            lifted = lift_constraints(sub)
-            outcome = reduce_to_stiefel(lift_point(sol.X, lifted), lifted, rank_tol)
+            outcome = reduce_to_stiefel(sub, sol.X, rank_tol)
             if not isinstance(outcome, InexactnessReport):
                 point = outcome[0]
         branch_values.append(sol.value + mm.pieces[q].c)

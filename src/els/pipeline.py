@@ -1,6 +1,6 @@
 """Full solve pipeline and report assembly.
 
-A solve runs: relaxation -> lift -> rank reduction -> certificate on the
+A solve runs: relaxation -> rank reduction -> certificate on the
 recovered point (optionally an independent oracle), and emits a single
 JSON-ready report.  Reports are byte-identical across runs with the same
 inputs and seed except for the "timings" block.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificate import certify_global
 from .errors import NoFeasiblePoint
-from .lift import exactness_conditions, lift_constraints, lift_point
+from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .oracle import oracle_solve
 from .problem import ElsProblem, StiefelPoint, serialize_problem
@@ -108,8 +108,7 @@ def solve_report(
 
     if sol.status == "optimal":
         t0 = time.perf_counter()
-        lifted = lift_constraints(prob)
-        outcome = reduce_to_stiefel(lift_point(sol.X, lifted), lifted, rank_tol)
+        outcome = reduce_to_stiefel(prob, sol.X, rank_tol)
         timings["reduction"] = time.perf_counter() - t0
         if isinstance(outcome, InexactnessReport):
             report["reduction"] = {

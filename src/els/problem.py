@@ -83,6 +83,10 @@ class ElsProblem:
         X = np.asarray(X, dtype=float)
         return np.array([float(np.trace(c.A @ X)) for c in self.constraints])
 
+    def trace_matrices(self) -> np.ndarray:
+        """A0 and the constraint matrices stacked as a (k+1, p, n) array."""
+        return np.stack([self.A0] + [c.A for c in self.constraints])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElsProblem):
             return NotImplemented

@@ -4,7 +4,7 @@ For constraint matrices A_1..A_k the map X -> (tr(A_1 X), ..., tr(A_k X))
 sends the manifold to a set G1 and its convex hull (the spectral ball) to a
 convex set G2.  Membership of a target vector in G2 is a feasibility solve;
 when p <= n - k a manifold preimage always exists (G1 = G2) and is recovered
-constructively by rank reduction of the lifted feasibility optimum.
+constructively by rank reduction of the feasibility optimum.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift import lift_constraints, lift_point
 from .linalg import DEFAULT_TOL, as_matrix
 from .problem import ElsProblem, LinearConstraint, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
@@ -88,9 +87,7 @@ def recover_g1(
         member = membership_g2(query, cfg)
     if not member.feasible:
         return InexactnessReport(reason="target is not attained over the spectral ball")
-    prob = query.problem()
-    lifted = lift_constraints(prob)
-    outcome = reduce_to_stiefel(lift_point(member.X, lifted), lifted, rank_tol)
+    outcome = reduce_to_stiefel(query.problem(), member.X, rank_tol)
     if isinstance(outcome, InexactnessReport):
         return outcome
     point, _trace = outcome
@@ -100,6 +97,7 @@ def recover_g1(
 def probe_rows(
     queries: list[RangeQuery],
     cfg: SolverConfig | None = None,
+    rank_tol: float = DEFAULT_TOL,
 ) -> list[dict]:
     """Membership/recovery summary rows for a batch of targets."""
     rows = []
@@ -108,7 +106,7 @@ def probe_rows(
         recovered = False
         residual = float("inf")
         if member.feasible:
-            outcome = recover_g1(q, cfg, member=member)
+            outcome = recover_g1(q, cfg, rank_tol, member=member)
             if isinstance(outcome, StiefelPoint):
                 recovered = True
                 residual = outcome.max_residual

@@ -1,65 +1,93 @@
-"""Rank reduction of optimal lifted solutions.
+"""Rank reduction of optimal relaxation points, in factor space.
 
-A lifted optimum Y of rank n + s (s >= 1) is moved along directions
-U @ D @ U.T that keep both identity diagonal blocks and every constraint
-trace fixed, with a step length that makes I + eps*D singular PSD.  Each
-step drops the rank by at least one while preserving feasibility exactly and
-the objective up to the solver's optimality gap; after at most s steps the
-off-diagonal block has orthonormal columns.  A nonzero direction always
-exists when p <= n - k; outside that regime the search can come up empty,
-which is reported as possible inexactness of the relaxation.
+A point X of the spectral ball lifts to Y = U @ U.T with
+U = [[I_n, 0], [X.T, C]], where C (p x s) factors C @ C.T = I_p - X.T @ X
+and n + s = rank(Y).  A direction U @ D @ U.T keeps the leading identity
+block of Y only when the leading n x n block of D vanishes, so
+D = [[0, E], [E.T, F]] with E (n x s) and F (s x s, symmetric).  Such a
+direction moves X to X + eps * E @ C.T, and it keeps
+
+* the trailing identity block when X.T @ E @ C.T + C @ E.T @ X
+  + C @ F @ C.T = 0, and
+* every constraint trace when <A_i.T @ C, E> = 0.
+
+The step length eps = -1/lambda, with lambda the eigenvalue of D of largest
+magnitude, makes I + eps*D singular PSD, so each step drops the rank by at
+least one while preserving feasibility exactly and the objective up to the
+solver's optimality gap.  After at most s steps X has orthonormal columns.
+This is the purification argument of Barvinok (1995) and Pataki (1998).
+
+Only (X, C) and the p x n data matrices are touched: no (n+p) x (n+p)
+lifted matrix is formed.  A nonzero direction always exists when
+p <= n - k (the system has fewer independent rows than unknowns);
+outside that regime the search can come up empty, which is reported as
+possible inexactness of the relaxation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput
-from .lift import LiftedConstraintSet, LiftedSolution
-from .linalg import DEFAULT_TOL, nullspace_basis, sym_eig, symmetric_basis
-from .problem import residuals
+from .linalg import DEFAULT_TOL, as_matrix, nullspace_basis, sym_eig
+from .problem import ElsProblem, residuals
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
 class ReductionState:
-    """Factored form Y = U @ U.T with U = [[I_n, 0], [X.T, C]].
+    """A ball point X with its factor C, C @ C.T = I_p - X.T @ X.
 
-    C is a p x s full-column-rank factor with C @ C.T = I_p - X.T @ X; the
-    rank excess s equals rank(Y) - n.
+    C is p x s with full column rank; the rank excess s equals
+    rank(Y) - n for the lift Y of X.
     """
 
-    Y: np.ndarray
     X: np.ndarray
     C: np.ndarray
-    U: np.ndarray
     s: int
 
 
 @dataclass
 class Direction:
-    """Unit-Frobenius symmetric direction with its singularizing step."""
+    """D = [[0, E], [E.T, F]] of unit Frobenius norm, with its singularizing
+    step ``epsilon`` and the dimension ``null_dim`` of the trace-preserving
+    direction space it was taken from."""
 
-    D: np.ndarray
+    E: np.ndarray
+    F: np.ndarray
     epsilon: float
+    null_dim: int
 
 
 @dataclass
 class ReductionStep:
-    """One trace entry: state after an iteration."""
+    """One trace entry: the state after an iteration.
+
+    ``null_dim`` is the dimension of the trace-preserving direction space
+    at this state; it is 0 at rank n and when no direction exists.
+    """
 
     rank: int
     objective: float
-    max_drift: float  # largest constraint-trace drift from the initial Y
+    max_drift: float  # largest constraint-trace drift from the initial point
+    null_dim: int = 0
 
     def as_dict(self) -> dict:
-        return {"rank": self.rank, "objective": self.objective, "max_drift": self.max_drift}
+        return {
+            "rank": self.rank,
+            "objective": self.objective,
+            "max_drift": self.max_drift,
+            "null_dim": self.null_dim,
+        }
 
 
 @dataclass
 class InexactnessReport:
-    """Raised rank reduction could not reach rank n.
+    """Rank reduction could not reach rank n.
 
     Only possible outside the p <= n - k guarantee; signals that the
     relaxation may be inexact for this instance.
@@ -70,112 +98,117 @@ class InexactnessReport:
     state: ReductionState | None = None
 
 
-def factor_state(Y: LiftedSolution, rank_tol: float = DEFAULT_TOL) -> ReductionState:
-    """Factor a PSD lifted matrix into the U-form above.
+def factor_state(X, rank_tol: float = DEFAULT_TOL) -> ReductionState:
+    """Factor I_p - X.T @ X of a point of the spectral ball.
 
-    C keeps the eigenpairs of I_p - X.T @ X above ``rank_tol`` (relative to
-    max(1, largest eigenvalue)), columns scaled by sqrt(eigenvalue).
+    C keeps the eigenpairs above ``rank_tol`` (relative to max(1, largest
+    eigenvalue)), columns scaled by sqrt(eigenvalue).  Raises InvalidInput
+    when the lift of X is not PSD, i.e. X lies outside the ball.
     """
-    n, p = Y.n, Y.p
-    min_eig = float(np.linalg.eigvalsh(Y.Y).min()) if Y.Y.size else 0.0
-    if min_eig < -1e-8 * (1.0 + np.linalg.norm(Y.Y)):
+    X = as_matrix(X, "X")
+    n, p = X.shape
+    eig = sym_eig(np.eye(p) - X.T @ X)
+    # The lift [[I, X], [X.T, I]] has smallest eigenvalue 1 - sigma_max(X).
+    min_eig = 1.0 - math.sqrt(max(1.0 - float(eig.eigenvalues[0]), 0.0))
+    lift_norm = math.sqrt(n + p + 2.0 * float(np.sum(X * X)))
+    if min_eig < -1e-8 * (1.0 + lift_norm):
         raise InvalidInput(f"lifted matrix is not PSD within tolerance (min eig {min_eig:.3e})")
-    X = Y.Y[:n, n:].copy()
-    gap = np.eye(p) - X.T @ X
-    eig = sym_eig(gap)
-    thresh = rank_tol * max(1.0, float(eig.eigenvalues.max()) if p else 1.0)
+    thresh = rank_tol * max(1.0, float(eig.eigenvalues[-1]))
     keep = eig.eigenvalues > thresh
-    s = int(keep.sum())
     C = eig.eigenvectors[:, keep] * np.sqrt(eig.eigenvalues[keep])
-    U = np.zeros((n + p, n + s))
-    U[:n, :n] = np.eye(n)
-    U[n:, :n] = X.T
-    U[n:, n:] = C
-    return ReductionState(Y=Y.Y, X=X, C=C, U=U, s=s)
+    return ReductionState(X=X, C=C, s=int(keep.sum()))
 
 
-def _direction_rows(state: ReductionState, lifted: LiftedConstraintSet):
-    """Rows of the linear system for D over the symmetric-matrix basis.
+def _direction_rows(state: ReductionState, mats: np.ndarray):
+    """Rows of the linear system for D = [[0, E], [E.T, F]].
 
-    The unknown D is symmetric of order n + s; the rows force (in order)
-    the leading n x n block of D to vanish, the trailing p x p block of
-    U @ D @ U.T to vanish, and every constraint trace of U @ D @ U.T to
-    vanish.  Returns (rows, objective_row, basis).
+    The unknowns are orthonormal coordinates of D: sqrt(2) * E row by row,
+    then F over the orthonormal symmetric basis in upper-triangle order, so
+    the coordinate norm is the Frobenius norm of D.  The rows force (in
+    order) the upper triangle of the trailing block
+    X.T @ E @ C.T + C @ E.T @ X + C @ F @ C.T and every constraint trace
+    <A_i.T @ C, E> to vanish.  ``mats`` stacks A0 and the constraint
+    matrices as (k+1, p, n).  Returns (rows, objective_row).
     """
-    n, p, s = lifted.n, lifted.p, state.s
-    m = n + s
-    basis = symmetric_basis(m)
-    T = np.hstack([state.X.T, state.C])  # p x (n+s), the bottom block of U
+    X, C, s = state.X, state.C, state.s
+    n, p = X.shape
+    a, b = np.triu_indices(p)
+    i, j = np.triu_indices(s)
 
-    rows = []
-    # Leading block of D itself (U picks it out unchanged).
-    for i in range(n):
-        for j in range(i, n):
-            rows.append([S[i, j] for S in basis])
-    # Trailing p x p block of U D U.T.
-    TS = [T @ S @ T.T for S in basis]
-    for i in range(p):
-        for j in range(i, p):
-            rows.append([W[i, j] for W in TS])
-    # Constraint traces tr(B_i U D U.T) = tr((U.T B_i U) D).
-    for B in lifted.B[1:]:
-        G = state.U.T @ B @ state.U
-        G = 0.5 * (G + G.T)
-        rows.append([float(np.sum(G * S)) for S in basis])
-    G0 = state.U.T @ lifted.B[0] @ state.U
-    G0 = 0.5 * (G0 + G0.T)
-    obj_row = np.array([float(np.sum(G0 * S)) for S in basis])
-    return np.array(rows), obj_row, basis
+    # Coefficient of E[i, j] in entry (a, b) of X.T E C.T + C E.T X.
+    XC = np.einsum("ia,bj->abij", X, C)
+    block_E = (XC + XC.transpose(1, 0, 2, 3))[a, b].reshape(a.size, n * s) / _SQRT2
+    # Coefficient of F's basis element (i, j) in entry (a, b) of C F C.T.
+    CC = np.einsum("ai,bj->abij", C, C)
+    weight = np.where(i == j, 0.5, 1.0 / _SQRT2)
+    block_F = (CC + CC.transpose(0, 1, 3, 2))[a, b][:, i, j] * weight
+
+    # <A.T C, E> for the objective and each constraint; F does not enter.
+    traces = np.einsum("mpn,ps->mns", mats, C).reshape(len(mats), n * s) / _SQRT2
+    traces = np.hstack([traces, np.zeros((len(mats), i.size))])
+
+    rows = np.vstack([np.hstack([block_E, block_F]), traces[1:]])
+    return rows, traces[0]
 
 
 def find_direction(
     state: ReductionState,
-    lifted: LiftedConstraintSet,
+    mats: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> Direction | None:
     """A unit direction in the null space of the trace-preserving system.
 
-    Returns None only when that null space is empty, which cannot happen
-    when p <= n - k.  Among valid directions, one that also annihilates the
-    objective trace is preferred when available (it exists whenever the
-    null space has dimension >= 2, and keeps the objective drift at rounding
-    level); otherwise the first null-space basis column is used.
+    ``mats`` stacks A0 and the constraint matrices as (k+1, p, n), as
+    returned by ``ElsProblem.trace_matrices``.  Returns None only when the
+    null space is empty, which cannot happen when p <= n - k.  Among valid
+    directions, one that also annihilates the objective trace is preferred
+    when available (it exists whenever the null space has dimension >= 2,
+    and keeps the objective drift at rounding level); otherwise the first
+    null-space basis column is used.
     """
     if state.s < 1:
         raise InvalidInput("find_direction requires rank excess s >= 1")
-    rows, obj_row, basis = _direction_rows(state, lifted)
+    rows, obj_row = _direction_rows(state, mats)
     null = nullspace_basis(rows, tol)
-    if null.shape[1] == 0:
+    null_dim = null.shape[1]
+    if null_dim == 0:
         return None
-    extended = nullspace_basis(np.vstack([rows, obj_row]), tol)
-    coeffs = extended[:, 0] if extended.shape[1] else null[:, 0]
-    D = sum(c * S for c, S in zip(coeffs, basis))
-    D = 0.5 * (D + D.T)
-    D /= np.linalg.norm(D)
-    eigvals = np.linalg.eigvalsh(D)
+    keep_objective = nullspace_basis((obj_row @ null)[None, :], tol)
+    z = null @ keep_objective[:, 0] if keep_objective.shape[1] else null[:, 0]
+    z = z / np.linalg.norm(z)
+
+    n, s = state.X.shape[0], state.s
+    E = z[: n * s].reshape(n, s) / _SQRT2
+    i, j = np.triu_indices(s)
+    F = np.zeros((s, s))
+    F[i, j] = z[n * s :] * np.where(i == j, 1.0, 1.0 / _SQRT2)
+    F = F + np.triu(F, 1).T
+    # With E = Q R, D = V [[0, R], [R.T, F]] V.T for V = diag(Q, I_s) with
+    # orthonormal columns, so D's nonzero eigenvalues are those of this 2s x 2s
+    # matrix (s <= p <= n keeps Q square-or-tall).
+    _, R = np.linalg.qr(E)
+    eigvals = np.linalg.eigvalsh(np.block([[np.zeros((s, s)), R], [R.T, F]]))
     lam = eigvals[np.argmax(np.abs(eigvals))]
-    return Direction(D=D, epsilon=-1.0 / lam)
+    return Direction(E=E, F=F, epsilon=-1.0 / lam, null_dim=null_dim)
 
 
-def reduce_to_stiefel(
-    Y: LiftedSolution,
-    lifted: LiftedConstraintSet,
-    rank_tol: float = DEFAULT_TOL,
-):
-    """Purify an optimal lifted solution down to rank n.
+def reduce_to_stiefel(prob: ElsProblem, X, rank_tol: float = DEFAULT_TOL):
+    """Purify an optimal relaxation point X of ``prob`` down to rank n.
 
     Returns (StiefelPoint, trace) on success, or an InexactnessReport when
-    no direction exists or the iteration fails to terminate within p steps
-    (both only possible when p > n - k).
+    no direction exists, the rank excess stalls, or the iteration fails to
+    terminate within p steps (all only possible when p > n - k).  Raises
+    InvalidInput when X lies outside the spectral ball.
     """
-    targets = lifted.trace_values(Y.Y)  # frozen at the input, index 0 = objective
-    state = factor_state(Y, rank_tol)
-    trace = [ReductionStep(rank=lifted.n + state.s, objective=float(targets[0]), max_drift=0.0)]
+    mats = prob.trace_matrices()
+    state = factor_state(X, rank_tol)
+    targets = np.einsum("mpn,np->m", mats, state.X)  # frozen at the input, 0 = objective
+    trace = [ReductionStep(rank=prob.n + state.s, objective=float(targets[0]), max_drift=0.0)]
 
-    for _ in range(lifted.p):
+    for _ in range(prob.p):
         if state.s == 0:
             break
-        direction = find_direction(state, lifted)
+        direction = find_direction(state, mats)
         if direction is None:
             return InexactnessReport(
                 reason="no trace-preserving direction exists at rank excess "
@@ -183,14 +216,12 @@ def reduce_to_stiefel(
                 trace=trace,
                 state=state,
             )
-        m = state.U.shape[1]
-        Y_next = state.U @ (np.eye(m) + direction.epsilon * direction.D) @ state.U.T
-        Y_next = 0.5 * (Y_next + Y_next.T)
+        trace[-1].null_dim = direction.null_dim
+        X_next = state.X + direction.epsilon * (direction.E @ state.C.T)
 
-        values = lifted.trace_values(Y_next)
-        drift = float(np.abs(values[1:] - targets[1:]).max()) if lifted.k else 0.0
-        new_sol = LiftedSolution(Y=Y_next, n=lifted.n, p=lifted.p, rank=0)
-        new_state = factor_state(new_sol, rank_tol)
+        values = np.einsum("mpn,np->m", mats, X_next)
+        drift = float(np.abs(values[1:] - targets[1:]).max()) if prob.k else 0.0
+        new_state = factor_state(X_next, rank_tol)
         if new_state.s >= state.s:
             return InexactnessReport(
                 reason=f"rank excess stalled at s={state.s}",
@@ -199,14 +230,14 @@ def reduce_to_stiefel(
             )
         state = new_state
         trace.append(
-            ReductionStep(rank=lifted.n + state.s, objective=float(values[0]), max_drift=drift)
+            ReductionStep(rank=prob.n + state.s, objective=float(values[0]), max_drift=drift)
         )
 
     if state.s != 0:
         return InexactnessReport(
-            reason=f"rank excess s={state.s} remains after {lifted.p} steps",
+            reason=f"rank excess s={state.s} remains after {prob.p} steps",
             trace=trace,
             state=state,
         )
-    point = residuals(lifted.problem, state.X)
+    point = residuals(prob, state.X)
     return point, trace

@@ -14,7 +14,6 @@ import pytest
 
 from els.certificate import active_set, certify_global, fit_multipliers, licq_check
 from els.fixtures import build_fixture
-from els.lift import lift_constraints, lift_point
 from els.linalg import random_stiefel, thin_svd
 from els.minimax import solve_minimax, solve_minimax_epigraph
 from els.oracle import assignment_oracle, minimax_oracle, oracle_solve
@@ -47,8 +46,7 @@ def criterion(num, summary):
 def _pipeline(prob, rank_tol=1e-8):
     sol = solve_cr(prob, TIGHT)
     assert sol.status == "optimal"
-    lifted = lift_constraints(prob)
-    outcome = reduce_to_stiefel(lift_point(sol.X, lifted), lifted, rank_tol)
+    outcome = reduce_to_stiefel(prob, sol.X, rank_tol)
     return sol, outcome
 
 

@@ -186,13 +186,11 @@ def test_certificate_soundness_against_search():
     checked = 0
     while checked < 5:
         prob, _ = random_feasible_problem(rng, n_max=5, k_max=2)
-        from els.lift import lift_constraints, lift_point
         from els.reduction import InexactnessReport, reduce_to_stiefel
         from els.solver import SolverConfig, solve_cr
 
         sol = solve_cr(prob, SolverConfig(tol=1e-10))
-        lifted = lift_constraints(prob)
-        outcome = reduce_to_stiefel(lift_point(sol.X, lifted), lifted)
+        outcome = reduce_to_stiefel(prob, sol.X)
         if isinstance(outcome, InexactnessReport):
             continue
         point, _ = outcome

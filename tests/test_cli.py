@@ -197,3 +197,32 @@ def test_batch_reports_ragged_rows_per_file(tmp_path):
     assert rows[0]["status"] == "optimal" and rows[1]["status"] == "optimal"
     assert rows[2]["status"] == "error"
     assert "equal lengths" in rows[2]["error"]
+
+
+def test_seed_env_rejects_non_integer():
+    res = run_cli(
+        "solve", str(FIXDIR / "example-5.1.json"), env_extra={"ELS_SEED": "abc"},
+    )
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == ["els: error: ELS_SEED must be an integer, got 'abc'"]
+    # an explicit --seed does not read the variable
+    res = run_cli(
+        "relax", str(FIXDIR / "example-5.1.json"), "--seed", "2", env_extra={"ELS_SEED": "abc"},
+    )
+    assert res.returncode == 0
+
+
+def test_range_command_honours_rank_tol(tmp_path):
+    # zero target for one functional on R^{3x1}: the ball witness sits near
+    # the origin with rank excess 1.  A threshold above every eigenvalue of
+    # I - X.T X declares it rank n already, so no reduction step is taken
+    # and the returned point is far from the sphere.
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"matrices": [[[1.0, 0.0, 0.0]]], "target": [0.0]}))
+    res = run_cli("range", str(query))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["rows"][0]["residual"] <= 1e-6
+    res = run_cli("range", str(query), "--rank-tol", "2.0")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["rows"][0]["residual"] >= 0.5

@@ -5,8 +5,8 @@ import numpy as np
 from els.fixtures import build_fixture
 from els.lift import (
     exactness_conditions,
-    extract_X,
     lift_constraints,
+    lift_factor,
     lift_matrix,
     lift_point,
 )
@@ -72,9 +72,10 @@ def test_extract_round_trip():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((4, 2)) * 0.4
     sol = lift_point(X)
-    assert np.allclose(extract_X(sol), X, atol=0.0)
+    assert np.array_equal(sol.Y[:4, 4:], X)
+    assert np.array_equal(sol.Y[4:, :4], X.T)
     eye = lift_point(np.zeros((3, 1)))
-    assert np.array_equal(extract_X(eye), np.zeros((3, 1)))
+    assert np.array_equal(eye.Y[:3, 3:], np.zeros((3, 1)))
 
 
 def test_extract_gap_instance_optimum():
@@ -82,17 +83,32 @@ def test_extract_gap_instance_optimum():
     # the block back preserves the -1 diagonal entries
     Xbar = np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
     sol = lift_point(Xbar)
-    X = extract_X(sol)
+    X = sol.Y[:3, 3:]
     assert X[1, 1] == -1.0 and X[2, 2] == -1.0
 
 
 def test_lift_constraints_objective_value():
     prob = build_fixture("example-5.1")
     lifted = lift_constraints(prob)
-    assert len(lifted.B) == 2
+    assert lifted.shape == (2, 3, 3)
     X = np.array([[0.0], [1.0]])
     sol = lift_point(X, lifted)
     assert sol.objective == prob.objective(X)
+    assert np.array_equal(lifted[1], lift_matrix(prob.constraints[0].A))
+
+
+def test_lift_factor_reproduces_lift():
+    # U = [[I, 0], [X.T, C]] with C C.T = I - X.T X gives U U.T = lift of X
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(1, n + 1))
+        X = random_stiefel(n, p, rng) * rng.uniform(0.0, 1.0, size=p)
+        w, Q = np.linalg.eigh(np.eye(p) - X.T @ X)
+        C = Q * np.sqrt(np.clip(w, 0.0, None))
+        U = lift_factor(X, C)
+        assert U.shape == (n + p, n + p)
+        assert np.allclose(U @ U.T, lift_point(X).Y, atol=1e-12)
 
 
 def test_exactness_conditions_table():

@@ -152,3 +152,31 @@ def test_random_stiefel_orthonormal_and_deterministic():
     X2 = random_stiefel(6, 3, np.random.default_rng(7))
     assert np.array_equal(X1, X2)
     assert np.linalg.norm(X1.T @ X1 - np.eye(3)) <= 1e-12
+
+
+def _fix_column_signs_loop(U, partner):
+    """Column-by-column reference for the vectorized sign convention."""
+    U, P = U.copy(), partner.copy()
+    for j in range(U.shape[1]):
+        nz = np.nonzero(np.abs(U[:, j]) > 1e-12)[0]
+        if nz.size and U[nz[0], j] < 0.0:
+            U[:, j] = -U[:, j]
+            P[:, j] = -P[:, j]
+    return U, P
+
+
+def test_fix_column_signs_matches_loop_reference():
+    from els.linalg import _fix_column_signs
+
+    rng = np.random.default_rng(12)
+    for shape in ((5, 3), (1, 4), (6, 6), (3, 0), (0, 0)):
+        U = rng.standard_normal(shape)
+        if U.size:
+            U[0, :] = 0.0  # leading zeros: the sign comes from a later row
+            U[: shape[0] // 2, 0] = 1e-13  # below the threshold
+            U[:, -1] = 0.0  # an all-zero column keeps its sign
+        P = rng.standard_normal((shape[0] + 1, shape[1]))
+        got_U, got_P = _fix_column_signs(U, P)
+        want_U, want_P = _fix_column_signs_loop(U, P)
+        assert np.array_equal(got_U, want_U) and np.array_equal(got_P, want_P)
+        assert np.array_equal(_fix_column_signs(U), want_U)

@@ -132,3 +132,20 @@ def test_probe_rows_solves_each_query_once(monkeypatch):
     monkeypatch.setattr(els.rangeprobe, "solve_cr", counting_solve_cr)
     assert probe_rows([query], CFG) == [expected]
     assert len(calls) == 1
+
+
+def test_probe_rows_passes_rank_tol_to_reduction(monkeypatch):
+    rng = np.random.default_rng(7)
+    matrices = [rng.standard_normal((1, 4))]
+    query = RangeQuery(matrices=matrices, target=np.zeros(1))
+    seen = []
+    reduce_to_stiefel = els.rangeprobe.reduce_to_stiefel
+
+    def recording_reduce(prob, X, rank_tol):
+        seen.append(rank_tol)
+        return reduce_to_stiefel(prob, X, rank_tol)
+
+    monkeypatch.setattr(els.rangeprobe, "reduce_to_stiefel", recording_reduce)
+    probe_rows([query], CFG)
+    probe_rows([query], CFG, rank_tol=1e-3)
+    assert seen == [1e-8, 1e-3]
