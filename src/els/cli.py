@@ -164,9 +164,10 @@ def _cmd_oracle(args) -> int:
     prob = parse_problem(_read(args.problem))
     cfg = _config(args)
     try:
-        value, point = oracle_solve(prob, restarts=args.restarts, seed=cfg.seed)
+        value, point, diagnostics = oracle_solve(prob, restarts=args.restarts, seed=cfg.seed)
     except NoFeasiblePoint as exc:
-        _emit({"schema": "els-oracle/1", "value": None, "error": str(exc)}, args.out)
+        doc = {"schema": "els-oracle/1", "value": None, "error": str(exc)}
+        _emit({**doc, **exc.diagnostics.as_dict()}, args.out)
         return EXIT_INFEASIBLE
     doc = {
         "schema": "els-oracle/1",
@@ -174,6 +175,7 @@ def _cmd_oracle(args) -> int:
         "value": value,
         "X": point.X.tolist(),
         "max_residual": point.max_residual,
+        **diagnostics.as_dict(),
     }
     _emit(doc, args.out)
     return EXIT_OK

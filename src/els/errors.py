@@ -26,4 +26,11 @@ class Infeasible(ElsError):
 
 
 class NoFeasiblePoint(ElsError):
-    """Raised when the search oracle finds no feasible point (inconclusive)."""
+    """Raised when the search oracle finds no feasible point (inconclusive).
+
+    ``diagnostics`` holds the oracle's counters when a single search raised it.
+    """
+
+    def __init__(self, message: str, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics

@@ -5,69 +5,97 @@ descent with an increasing penalty schedule, followed by an exact Newton
 polish of the active-set KKT system (machine-precision feasibility).  For
 tiny dimensions (spheres and frames in R^2/R^3, where the interesting
 relaxation-gap instances live) an angular grid is swept as well and its
-best points are polished.  Everything is deterministic given
-(restarts, seed).
+best points are polished.  The restarts descend together as one stack, so
+each backtracking round costs one batched SVD however many restarts are
+still moving.  Everything is deterministic given (restarts, seed).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoFeasiblePoint
 from .linalg import random_stiefel, symmetric_basis
 from .minimax import piece_subproblem
-from .problem import ElsProblem, MinimaxProblem, StiefelPoint, residuals
+from .problem import ElsProblem, MinimaxProblem, StiefelPoint, bound_violations, residuals
 
 _FEAS_TOL = 1e-8
 _RHO_SCHEDULE = (10.0, 1e2, 1e3, 1e4)
 
 
 def _polar(X: np.ndarray) -> np.ndarray:
+    """Polar retraction of one (n, p) matrix or of an (R, n, p) stack."""
     U, _, Vt = np.linalg.svd(X, full_matrices=False)
     return U @ Vt
 
 
-def _merit(prob: ElsProblem, X: np.ndarray, rho: float) -> float:
-    viol = [c.violation(v) for c, v in zip(prob.constraints, prob.constraint_values(X))]
-    return prob.objective(X) + rho * float(np.sum(np.square(viol)))
+def _merits(mats, lower, upper, X: np.ndarray, rho: float) -> np.ndarray:
+    """Penalized merit of every point of the (R, n, p) stack ``X``.
+
+    ``mats`` is the (k+1, p, n) stack of A0 and the constraint matrices.
+    """
+    values = np.trace(mats @ X[:, None], axis1=2, axis2=3)
+    viol = bound_violations(values[:, 1:], lower, upper)
+    return values[:, 0] + rho * np.sum(np.square(viol), axis=1)
 
 
-def _merit_grad(prob: ElsProblem, X: np.ndarray, rho: float) -> np.ndarray:
-    G = prob.A0.T.copy()
-    for c, v in zip(prob.constraints, prob.constraint_values(X)):
-        signed = max(v - c.upper, 0.0) - max(c.lower - v, 0.0)
-        if signed != 0.0:
-            G += 2.0 * rho * signed * c.A.T
+def _merit_grads(mats, lower, upper, X: np.ndarray, rho: float) -> np.ndarray:
+    """Euclidean merit gradients, (R, n, p), of the stack ``X``."""
+    V = np.trace(mats[1:] @ X[:, None], axis1=2, axis2=3)
+    signed = np.maximum(V - upper, 0.0) - np.maximum(lower - V, 0.0)
+    G = np.repeat(mats[0].T[None], X.shape[0], axis=0)
+    for i in range(signed.shape[1]):
+        pushed = signed[:, i] != 0.0
+        if pushed.any():
+            term = (2.0 * rho * signed[:, i])[:, None, None] * mats[i + 1].T
+            # unpushed points are left untouched, signed zeros included
+            np.add(G, term, out=G, where=pushed[:, None, None])
     return G
 
 
-def _penalty_descent(prob: ElsProblem, X: np.ndarray, rho: float, max_iter: int = 150) -> np.ndarray:
-    """Projected-gradient descent with polar retraction on the penalized merit."""
-    scale = 1.0 + float(np.linalg.norm(prob.A0))
-    alpha = 1.0 / (1.0 + math.sqrt(rho))
-    f = _merit(prob, X, rho)
+def _penalty_descent(mats, lower, upper, X: np.ndarray, rho: float, max_iter: int = 150) -> np.ndarray:
+    """Projected-gradient descent with polar retraction on the penalized merit.
+
+    Every point of the (R, n, p) stack ``X`` descends on its own: it keeps
+    its own step size, Armijo test, halving budget and stopping rule, and
+    leaves the stack where a descent of that point alone would stop.
+    Returns the final stack.
+    """
+    X = X.copy()
+    scale = 1.0 + float(np.linalg.norm(mats[0]))
+    alpha = np.full(X.shape[0], 1.0 / (1.0 + math.sqrt(rho)))
+    f = _merits(mats, lower, upper, X, rho)
+    live = np.arange(X.shape[0])
     for _ in range(max_iter):
-        G = _merit_grad(prob, X, rho)
-        W = X.T @ G
-        PG = G - X @ (0.5 * (W + W.T))  # Riemannian gradient
-        gnorm2 = float(np.sum(PG * PG))
-        if math.sqrt(gnorm2) <= 1e-10 * scale:
+        if not live.size:
             break
-        accepted = False
+        Xl = X[live]
+        G = _merit_grads(mats, lower, upper, Xl, rho)
+        W = Xl.transpose(0, 2, 1) @ G
+        PG = G - Xl @ (0.5 * (W + W.transpose(0, 2, 1)))  # Riemannian gradient
+        # one flat sum per point, in the order np.sum takes for one point
+        gnorm2 = np.sum((PG * PG).reshape(live.size, -1), axis=1)
+        moving = np.sqrt(gnorm2) > 1e-10 * scale
+        live, Xl, PG, gnorm2 = live[moving], Xl[moving], PG[moving], gnorm2[moving]
+        trying = np.arange(live.size)  # positions in live still backtracking
         for _ in range(40):
-            X_try = _polar(X - alpha * PG)
-            f_try = _merit(prob, X_try, rho)
-            if f_try <= f - 1e-4 * alpha * gnorm2:
-                X, f = X_try, f_try
-                alpha = min(alpha * 1.5, 1e3)
-                accepted = True
+            if not trying.size:
                 break
-            alpha *= 0.5
-        if not accepted:
-            break
+            idx = live[trying]
+            step = alpha[idx]
+            X_try = _polar(Xl[trying] - step[:, None, None] * PG[trying])
+            f_try = _merits(mats, lower, upper, X_try, rho)
+            ok = f_try <= f[idx] - 1e-4 * step * gnorm2[trying]
+            won = idx[ok]
+            X[won], f[won] = X_try[ok], f_try[ok]
+            alpha[won] = np.minimum(step[ok] * 1.5, 1e3)
+            alpha[idx[~ok]] = step[~ok] * 0.5
+            trying = trying[~ok]
+        live = np.delete(live, trying)  # no step accepted: that descent stops
     return X
 
 
@@ -192,15 +220,8 @@ def _restore_feasibility(
     return X
 
 
-def _local_search(prob: ElsProblem, X0: np.ndarray, schedule=_RHO_SCHEDULE) -> StiefelPoint | None:
-    """One basin: descent through the penalty schedule, then polish.
-
-    Returns the best feasible candidate found, or None.
-    """
-    X = X0
-    for rho in schedule:
-        X = _penalty_descent(prob, X, rho)
-
+def _polish(prob: ElsProblem, X: np.ndarray) -> StiefelPoint | None:
+    """Polish one descended point; the best feasible candidate, or None."""
     candidates = []
 
     def consider(Xc):
@@ -247,47 +268,79 @@ def _rotations_y(angles):
     return R
 
 
+_GRIDS: dict[tuple[int, int], np.ndarray | None] = {}
+
+
 def _grid_points(n: int, p: int) -> np.ndarray | None:
-    """Stacked manifold samples of shape (N, n, p), or None when unsupported."""
-    if (n, p) == (2, 1):
-        t = np.arange(0.0, 2 * np.pi, _FINE_STEP)
-        return np.stack([np.cos(t), np.sin(t)], axis=1)[:, :, None]
-    if (n, p) == (2, 2):
+    """Stacked manifold samples of shape (N, n, p), or None when unsupported.
+
+    Each grid is built once per (n, p) and kept as a read-only array.
+    """
+    if (n, p) not in _GRIDS:
+        pts = _build_grid(n, p)
+        if pts is not None:
+            pts.flags.writeable = False
+        _GRIDS[(n, p)] = pts
+    return _GRIDS[(n, p)]
+
+
+def _build_grid(n: int, p: int) -> np.ndarray | None:
+    """One preallocated grid array; reflected halves are written in place."""
+    if (n, p) in ((2, 1), (2, 2)):
         t = np.arange(0.0, 2 * np.pi, _FINE_STEP)
         c, s = np.cos(t), np.sin(t)
-        rot = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], axis=1)
-        refl = rot.copy()
-        refl[:, :, 1] *= -1.0
-        return np.concatenate([rot, refl])
+        m = t.size
+        pts = np.empty((p * m, 2, p))
+        pts[:m, 0, 0], pts[:m, 1, 0] = c, s
+        if p == 2:
+            pts[:m, 0, 1], pts[:m, 1, 1] = -s, c
+            pts[m:] = pts[:m]
+            pts[m:, :, 1] *= -1.0  # reflections
+        return pts
     if (n, p) == (3, 1):
         th = np.arange(0.0, np.pi + _FINE_STEP, _FINE_STEP)
         ph = np.arange(0.0, 2 * np.pi, _FINE_STEP)
         st, ct = np.sin(th), np.cos(th)
         cp, sp = np.cos(ph), np.sin(ph)
         # outer products give the full mesh without materializing angle pairs
-        x = np.outer(st, cp).ravel()
-        y = np.outer(st, sp).ravel()
-        z = np.outer(ct, np.ones_like(cp)).ravel()
-        return np.stack([x, y, z], axis=1)[:, :, None]
+        pts = np.empty((th.size, ph.size, 3, 1))
+        np.multiply.outer(st, cp, out=pts[:, :, 0, 0])
+        np.multiply.outer(st, sp, out=pts[:, :, 1, 0])
+        pts[:, :, 2, 0] = ct[:, None]
+        return pts.reshape(-1, 3, 1)
     if (n, p) in ((3, 2), (3, 3)):
         a = np.arange(0.0, 2 * np.pi, _COARSE_STEP)
         b = np.arange(0.0, np.pi + _COARSE_STEP, _COARSE_STEP)
         g = np.arange(0.0, 2 * np.pi, _COARSE_STEP)
         Rab = np.einsum("aij,bjk->abik", _rotations_z(a), _rotations_y(b))
-        R = np.einsum("abij,cjk->abcik", Rab, _rotations_z(g)).reshape(-1, 3, 3)
-        if p == 2:
-            return R[:, :, :2]
-        refl = R.copy()
-        refl[:, :, 2] *= -1.0  # second connected component
-        return np.concatenate([R, refl])
+        m = a.size * b.size * g.size
+        pts = np.empty(((p - 1) * m, 3, p))  # p = 3 adds the reflected component
+        rotations = pts[:m].reshape(a.size, b.size, g.size, 3, p)
+        np.einsum("abij,cjk->abcik", Rab, _rotations_z(g)[:, :, :p], out=rotations)
+        if p == 3:
+            pts[m:] = pts[:m]
+            pts[m:, :, 2] *= -1.0  # second connected component
+        return pts
     return None
 
 
-def _grid_starts(prob: ElsProblem, max_starts: int = 20) -> list[np.ndarray]:
-    """Best grid points by a penalized merit, thinned by pairwise distance."""
+def _smallest(values: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m smallest values, in stable-argsort order."""
+    if values.size <= m:
+        return np.argsort(values, kind="stable")
+    threshold = values[np.argpartition(values, m - 1)[m - 1]]
+    near = np.flatnonzero(values <= threshold)
+    return near[np.argsort(values[near], kind="stable")][:m]
+
+
+def _grid_starts(prob: ElsProblem, max_starts: int = 20) -> np.ndarray:
+    """Best grid points by a penalized merit, thinned by pairwise distance.
+
+    Returns an (m, n, p) stack with m <= max_starts (m = 0 without a grid).
+    """
     pts = _grid_points(prob.n, prob.p)
     if pts is None:
-        return []
+        return np.zeros((0, prob.n, prob.p))
     N = pts.shape[0]
     flat = pts.reshape(N, -1)
     merit = flat @ prob.A0.T.ravel(order="C")  # tr(A0 X) = sum(A0.T * X)
@@ -299,49 +352,73 @@ def _grid_starts(prob: ElsProblem, max_starts: int = 20) -> list[np.ndarray]:
         if math.isfinite(c.lower):
             viol = np.maximum(c.lower - vals, viol)
         merit = merit + 1e3 * viol
-    order = np.argsort(merit, kind="stable")[: 40 * max_starts]
     starts: list[np.ndarray] = []
-    for idx in order:
+    for idx in _smallest(merit, 40 * max_starts):
         X = pts[idx]
         if all(np.linalg.norm(X - S) > 0.15 for S in starts):
             starts.append(X)
             if len(starts) >= max_starts:
                 break
-    return starts
+    return np.array(starts).reshape(-1, prob.n, prob.p)
+
+
+@dataclass(frozen=True)
+class OracleDiagnostics:
+    """Deterministic counters of one oracle run."""
+
+    starts: int  # random restarts plus grid starts
+    feasible_starts: int  # starts whose polish gave a feasible candidate
+    winner: tuple[str, int] | None  # ("restart" | "grid", index) of the best start
+
+    def as_dict(self) -> dict:
+        winner = None if self.winner is None else {"kind": self.winner[0], "index": self.winner[1]}
+        return {"starts": self.starts, "feasible_starts": self.feasible_starts, "winner": winner}
 
 
 def oracle_solve(
     prob: ElsProblem,
     restarts: int = 40,
     seed: int = 0,
-) -> tuple[float, StiefelPoint]:
+) -> tuple[float, StiefelPoint, OracleDiagnostics]:
     """Best feasible local value over multistart search plus grid sweeps.
 
-    Deterministic given (restarts, seed); ties broken by lowest restart
-    index.  Raises NoFeasiblePoint when no feasible candidate is found.
+    The random restarts descend together as one (R, n, p) stack through the
+    penalty schedule, the grid starts as a second stack through its last two
+    stages; each descended point is then polished on its own.  Deterministic
+    given (restarts, seed); ties broken by lowest restart index, then grid
+    index.  Raises NoFeasiblePoint, carrying the diagnostics, when no
+    feasible candidate is found.
     """
+    n, p = prob.n, prob.p
+    mats = prob.trace_matrices()
+    lower, upper = prob.bounds()
+    starts = np.array(
+        [random_stiefel(n, p, np.random.default_rng([seed, r])) for r in range(restarts)]
+    ).reshape(-1, n, p)
+    grid = _grid_starts(prob)
+
     best: StiefelPoint | None = None
     best_value = math.inf
+    winner = None
+    feasible = 0
+    for kind, X, schedule in (("restart", starts, _RHO_SCHEDULE), ("grid", grid, (1e3, 1e4))):
+        for rho in schedule:
+            X = _penalty_descent(mats, lower, upper, X, rho)
+        for i, Xi in enumerate(X):
+            point = _polish(prob, Xi)
+            if point is None:
+                continue
+            feasible += 1
+            value = prob.objective(point.X)
+            if value < best_value:
+                best, best_value, winner = point, value, (kind, i)
 
-    def consider(point: StiefelPoint | None):
-        nonlocal best, best_value
-        if point is None:
-            return
-        value = prob.objective(point.X)
-        if value < best_value - 0.0:
-            best, best_value = point, value
-
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        consider(_local_search(prob, random_stiefel(prob.n, prob.p, rng)))
-    for X0 in _grid_starts(prob):
-        consider(_local_search(prob, X0, schedule=(1e3, 1e4)))
-
+    diagnostics = OracleDiagnostics(len(starts) + len(grid), feasible, winner)
     if best is None:
         raise NoFeasiblePoint(
-            f"no feasible point found in {restarts} restarts (inconclusive)"
+            f"no feasible point found in {restarts} restarts (inconclusive)", diagnostics
         )
-    return best_value, best
+    return best_value, best, diagnostics
 
 
 def assignment_oracle(A0) -> tuple[float, tuple[int, ...]]:
@@ -374,7 +451,7 @@ def minimax_oracle(mm: MinimaxProblem, restarts: int = 40, seed: int = 0) -> flo
     for q in range(mm.m):
         sub = piece_subproblem(mm, q)
         try:
-            value, _ = oracle_solve(sub, restarts=restarts, seed=seed)
+            value, _, _ = oracle_solve(sub, restarts=restarts, seed=seed)
         except NoFeasiblePoint:
             continue
         found = True

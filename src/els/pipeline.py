@@ -140,14 +140,15 @@ def solve_report(
     if with_oracle:
         t0 = time.perf_counter()
         try:
-            value, point = oracle_solve(prob, restarts=restarts, seed=seed)
+            value, point, diagnostics = oracle_solve(prob, restarts=restarts, seed=seed)
             report["oracle"] = {
                 "value": value,
                 "X": point.X.tolist(),
                 "max_residual": point.max_residual,
+                **diagnostics.as_dict(),
             }
         except NoFeasiblePoint as exc:
-            report["oracle"] = {"value": None, "error": str(exc)}
+            report["oracle"] = {"value": None, "error": str(exc), **exc.diagnostics.as_dict()}
         timings["oracle"] = time.perf_counter() - t0
 
     report["timings"] = timings

@@ -81,11 +81,23 @@ class ElsProblem:
 
     def constraint_values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.array([float(np.trace(c.A @ X)) for c in self.constraints])
+        return np.trace(self.constraint_matrices() @ X, axis1=1, axis2=2)
+
+    def constraint_matrices(self) -> np.ndarray:
+        """The constraint matrices stacked as a (k, p, n) array."""
+        if not self.constraints:
+            return np.zeros((0, self.p, self.n))
+        return np.stack([c.A for c in self.constraints])
 
     def trace_matrices(self) -> np.ndarray:
         """A0 and the constraint matrices stacked as a (k+1, p, n) array."""
         return np.stack([self.A0] + [c.A for c in self.constraints])
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and upper bounds as two length-k arrays."""
+        lower = np.array([c.lower for c in self.constraints], dtype=float)
+        upper = np.array([c.upper for c in self.constraints], dtype=float)
+        return lower, upper
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElsProblem):
@@ -125,9 +137,12 @@ def residuals(prob: ElsProblem, X) -> StiefelPoint:
     if X.shape != (prob.n, prob.p):
         raise ValidationError(f"X has shape {X.shape}, expected {(prob.n, prob.p)}")
     orth = float(np.linalg.norm(X.T @ X - np.eye(prob.p)))
-    values = prob.constraint_values(X)
-    lin = np.array([c.violation(v) for c, v in zip(prob.constraints, values)])
-    return StiefelPoint(X, orth, lin)
+    return StiefelPoint(X, orth, bound_violations(prob.constraint_values(X), *prob.bounds()))
+
+
+def bound_violations(values, lower, upper) -> np.ndarray:
+    """Nonnegative amounts by which ``values`` leave [lower, upper], elementwise."""
+    return np.maximum(np.maximum(lower - values, values - upper), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +279,9 @@ class MinimaxProblem:
 
     def piece_values(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return np.array([float(np.trace(p.A @ X)) + p.c for p in self.pieces])
+        mats = np.stack([piece.A for piece in self.pieces])
+        offsets = np.array([piece.c for piece in self.pieces])
+        return np.trace(mats @ X, axis1=1, axis2=2) + offsets
 
 
 def parse_minimax_problem(text: str) -> MinimaxProblem:

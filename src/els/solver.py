@@ -11,7 +11,8 @@ Phase-I minimizes a single elastic slack tau that relaxes every finite bound
 by +/- tau, starting from X = 0 which is always strictly inside the ball; the
 instance is declared infeasible when the optimal tau exceeds ``feas_tol``.
 A bound outside the range [-||A_i||_*, ||A_i||_*] of tr(A_i X) over the ball
-is declared infeasible before phase I.
+is declared infeasible before phase I, and a bound at an end of that range
+is decided at the single point of the ball where it holds.
 
 The path follows the analytic center, so the returned optimum has maximal
 rank within the optimal face; rank purification is delegated to the
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, thin_svd
-from .problem import ElsProblem, StiefelPoint
+from .linalg import DEFAULT_TOL, as_matrix, thin_svd
+from .problem import ElsProblem, StiefelPoint, bound_violations
 
 _STATUS_OPTIMAL = "optimal"
 _STATUS_INFEASIBLE = "infeasible"
@@ -37,6 +38,10 @@ _STATUS_FAILURE = "numerical-failure"
 
 _MAX_OUTER = 140
 _MAX_INNER = 60
+
+# A bound this close to the reach ||A_i||_*, relative to 1 + ||A_i||_*, is
+# taken to sit at it.
+_REACH_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass
@@ -308,9 +313,7 @@ def _project_equalities(prob: ElsProblem, X: np.ndarray) -> np.ndarray:
 
 def _max_violation(prob: ElsProblem, X: np.ndarray) -> float:
     """Largest constraint violation, including the spectral-ball constraint."""
-    viol = 0.0
-    for c, v in zip(prob.constraints, prob.constraint_values(X)):
-        viol = max(viol, c.violation(v))
+    viol = float(np.max(bound_violations(prob.constraint_values(X), *prob.bounds()), initial=0.0))
     if X.size:
         sig_max = float(np.linalg.norm(X, 2))
         viol = max(viol, sig_max - 1.0)
@@ -321,14 +324,11 @@ def _interior_start(prob: ElsProblem, X: np.ndarray) -> bool:
     """True when X is strictly inside the ball and every finite inequality."""
     if float(np.linalg.norm(X, 2)) >= 1.0:
         return False
-    for c, v in zip(prob.constraints, prob.constraint_values(X)):
-        if c.is_equality:
-            continue
-        if math.isfinite(c.upper) and v >= c.upper:
-            return False
-        if math.isfinite(c.lower) and v <= c.lower:
-            return False
-    return True
+    values = prob.constraint_values(X)
+    lower, upper = prob.bounds()
+    # Infinite bounds never bind; equality rows (lower == upper) are skipped.
+    touching = (values >= upper) | (values <= lower)
+    return not np.any(touching & (lower != upper))
 
 
 def _effective_constraints(prob: ElsProblem) -> tuple[list, bool]:
@@ -412,19 +412,58 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, floa
     return False, X, tau, _STATUS_OPTIMAL
 
 
-def _beyond_reach(prob: ElsProblem, feas_tol: float) -> bool:
-    """True when a finite bound lies outside [-||A_i||_*, ||A_i||_*], the exact
-    range of tr(A_i X) over the ball, by more than feas_tol (1 + ||A_i||_*).
+def _reach_verdict(prob: ElsProblem, feas_tol: float) -> CrSolution | None:
+    """Decide the instance from the reach ||A_i||_* of its rows, when a bound
+    leaves the barrier no interior; None when no bound does.
 
-    Phase I cannot decide such bounds once they are so large that its start
-    tau0 + 1 rounds to tau0.
+    tr(A_i X) ranges over exactly [-||A_i||_*, ||A_i||_*] on the ball.  A
+    finite bound beyond that range by more than feas_tol (1 + ||A_i||_*)
+    gives ``infeasible``; phase I cannot decide such bounds once they are so
+    large that its start tau0 + 1 rounds to tau0.
+
+    A binding bound at the reach (lower = ||A_i||_*, upper = -||A_i||_*, or
+    an equality row at either) leaves one point of the ball when A_i =
+    U S V^T has full row rank p: X* = V U^T at +||A_i||_*, -V U^T at -||A_i||_*.
+    The instance is then ``optimal`` at X* when the other rows hold there
+    within feas_tol, and ``infeasible`` otherwise.  A bound short of the
+    reach by a few rounding units counts as at the reach; ``gap_estimate``
+    bounds how far the objective can then move over the feasible cap.
     """
-    for c in prob.constraints:
+    at_reach = []
+    for i, c in enumerate(prob.constraints):
         reach = float(np.linalg.norm(c.A, "nuc"))
         limit = reach + feas_tol * (1.0 + reach)
         if c.lower > limit or c.upper < -limit:
-            return True
-    return False
+            return _infeasible(prob)
+        near = reach - _REACH_ROUNDING * (1.0 + reach)
+        if c.lower >= near:
+            at_reach.append((i, 1.0, reach - c.lower))
+        elif c.upper <= -near:
+            at_reach.append((i, -1.0, c.upper + reach))
+    for i, sign, short in at_reach:
+        U, sigma, Vt = np.linalg.svd(prob.constraints[i].A, full_matrices=False)
+        if sigma[-1] <= DEFAULT_TOL * sigma[0]:
+            continue  # rank deficient: a face of the ball, not a single point
+        X = sign * (Vt.T @ U.T)
+        viol = bound_violations(prob.constraint_values(X), *prob.bounds())
+        viol[i] = 0.0  # within the reach allowance above
+        if viol.max() > feas_tol:
+            return _infeasible(prob)
+        # Every feasible X lies within sqrt(2 short / sigma_min) of X* (Frobenius).
+        spread = math.sqrt(2.0 * max(short, 0.0) / sigma[-1])
+        return CrSolution(
+            X=X,
+            value=float(np.trace(prob.A0 @ X)),
+            status=_STATUS_OPTIMAL,
+            gap_estimate=float(np.linalg.norm(prob.A0)) * spread,
+        )
+    return None
+
+
+def _infeasible(prob: ElsProblem) -> CrSolution:
+    return CrSolution(
+        X=np.zeros((prob.n, prob.p)), value=math.inf, status=_STATUS_INFEASIBLE, gap_estimate=math.inf
+    )
 
 
 def _zero_start_ok(prob: ElsProblem) -> bool:
@@ -449,10 +488,11 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
     obj_norm = float(np.linalg.norm(prob.A0))
 
     kept, zero_infeasible = _effective_constraints(prob)
-    if zero_infeasible or _beyond_reach(prob, cfg.feas_tol):
-        return CrSolution(
-            X=np.zeros((n, p)), value=math.inf, status=_STATUS_INFEASIBLE, gap_estimate=math.inf
-        )
+    if zero_infeasible:
+        return _infeasible(prob)
+    verdict = _reach_verdict(prob, cfg.feas_tol)
+    if verdict is not None:
+        return verdict
     if len(kept) != prob.k:
         prob = ElsProblem(n=n, p=p, A0=prob.A0, constraints=kept)
 

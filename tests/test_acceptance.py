@@ -52,9 +52,9 @@ def _pipeline(prob, rank_tol=1e-8):
 
 def _oracle_with_retry(prob, target, tol, seed):
     """Search oracle with escalating effort when it misses the target."""
-    value, point = oracle_solve(prob, restarts=30, seed=seed)
+    value, point, _ = oracle_solve(prob, restarts=30, seed=seed)
     if abs(value - target) > tol:
-        value, point = oracle_solve(prob, restarts=200, seed=seed + 1000)
+        value, point, _ = oracle_solve(prob, restarts=200, seed=seed + 1000)
     return value, point
 
 
@@ -64,7 +64,7 @@ def test_criterion_01_circle_gap_instance():
     prob = build_fixture("example-4.1")
     sol, outcome = _pipeline(prob)
     assert abs(sol.value - 0.0) <= 1e-6
-    value, _ = oracle_solve(prob, restarts=8, seed=0)
+    value, _, _ = oracle_solve(prob, restarts=8, seed=0)
     assert abs(value - 1.0) <= 1e-6
     assert isinstance(outcome, InexactnessReport)  # the report flags inexactness
     elapsed = time.perf_counter() - start
@@ -83,7 +83,7 @@ def test_criterion_02_forced_zero_gap_instance():
     t11, t22, t12 = 1.0 - c**2, 1.0 - (a**2 + b**2 + d**2), -(c * d)
     feasible = (t11 >= 0) & (t22 >= 0) & (t11 * t22 - t12**2 >= 0)
     assert float(d[feasible].min()) == pytest.approx(-1.0, abs=1e-9)
-    value, _ = oracle_solve(prob, restarts=8, seed=0)
+    value, _, _ = oracle_solve(prob, restarts=8, seed=0)
     assert abs(value - 0.0) <= 1e-6
 
 
@@ -96,7 +96,7 @@ def test_criterion_03_diagonal_gap_instance():
         not isinstance(outcome, InexactnessReport) and not outcome[0].feasible(1e-6)
     )
     assert isinstance(outcome, InexactnessReport) or recovered_infeasible
-    value, _ = oracle_solve(prob, restarts=8, seed=0)
+    value, _, _ = oracle_solve(prob, restarts=8, seed=0)
     # margin over the relaxation value, derived by the angular-grid oracle:
     # the manifold optimum is -1, a gap of 1.0 >= 0.1
     assert value >= -2.0 + 0.1

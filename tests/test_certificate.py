@@ -197,6 +197,6 @@ def test_certificate_soundness_against_search():
         verdict = certify_global(prob, point.X)
         if not verdict.is_global:
             continue
-        value, _ = oracle_solve(prob, restarts=20, seed=checked)
+        value, _, _ = oracle_solve(prob, restarts=20, seed=checked)
         assert prob.objective(point.X) <= value + 1e-5
         checked += 1

@@ -136,7 +136,23 @@ def test_seed_env_override(tmp_path):
 def test_oracle_command():
     res = run_cli("oracle", str(FIXDIR / "example-4.3.json"), "--restarts", "8")
     assert res.returncode == 0
-    assert json.loads(res.stdout)["value"] == pytest.approx(-1.0, abs=1e-8)
+    doc = json.loads(res.stdout)
+    assert doc["value"] == pytest.approx(-1.0, abs=1e-8)
+    assert doc["starts"] > 8  # restarts plus the angular-grid starts
+    assert 1 <= doc["feasible_starts"] <= doc["starts"]
+    assert doc["winner"]["kind"] in ("restart", "grid")
+
+
+def test_oracle_command_without_feasible_point(tmp_path):
+    prob = tmp_path / "far.json"
+    prob.write_text(
+        json.dumps({"n": 2, "p": 1, "A0": [[1.0, 0.0]], "constraints": [{"A": [[1.0, 0.0]], "lower": 2.0}]})
+    )
+    res = run_cli("oracle", str(prob), "--restarts", "4")
+    assert res.returncode == 1
+    doc = json.loads(res.stdout)
+    assert doc["value"] is None and "inconclusive" in doc["error"]
+    assert doc["starts"] >= 4 and doc["feasible_starts"] == 0 and doc["winner"] is None
 
 
 def test_range_command(tmp_path):

@@ -24,6 +24,10 @@ def test_solve_report_exact_instance():
     assert rec["objective_gap"] <= 1e-5 * (1.0 + abs(report["relaxation"]["value"]))
     assert report["certificate"] is not None
     assert report["oracle"]["value"] == pytest.approx(rec["objective"], abs=1e-5)
+    oracle_block = report["oracle"]
+    assert oracle_block["starts"] >= 15
+    assert 1 <= oracle_block["feasible_starts"] <= oracle_block["starts"]
+    assert oracle_block["winner"]["kind"] in ("restart", "grid")
     assert json.dumps(report)  # JSON-serializable end to end
 
 

@@ -11,6 +11,7 @@ from els.fixtures import build_fixture
 from els.problem import (
     ElsProblem,
     LinearConstraint,
+    MinimaxPiece,
     MinimaxProblem,
     parse_minimax_problem,
     parse_point,
@@ -205,3 +206,38 @@ def test_point_file_parsing():
         parse_point('{"X": [[0.0, 1.0]]}', prob)
     with pytest.raises(ParseError):
         parse_point('{"Y": []}')
+
+
+def test_stacked_values_match_per_constraint_loop():
+    # The stacked (k, p, n) trace is bit-identical to one np.trace per row.
+    rng = np.random.default_rng(270)
+    shapes = [(2, 1, 2), (3, 2, 1), (6, 2, 3), (12, 4, 4), (20, 6, 6), (30, 10, 8), (60, 15, 10)]
+    cases = 0
+    for n, p, k in shapes:
+        for _ in range(270 // len(shapes) + 1):
+            X = rng.standard_normal((n, p))
+            cons = []
+            for i in range(k):
+                lo, up = sorted(rng.standard_normal(2))
+                lower, upper = [(lo, up), (lo, lo), (-math.inf, up), (lo, math.inf)][i % 4]
+                cons.append(LinearConstraint(A=rng.standard_normal((p, n)), lower=lower, upper=upper))
+            prob = ElsProblem(n=n, p=p, A0=rng.standard_normal((p, n)), constraints=cons)
+            loop = np.array([float(np.trace(c.A @ X)) for c in cons])
+            assert np.array_equal(prob.constraint_values(X), loop)
+            point = residuals(prob, X)
+            assert np.array_equal(point.lin_residuals, [c.violation(v) for c, v in zip(cons, loop)])
+            mm = MinimaxProblem(base=prob, pieces=[MinimaxPiece(A=c.A, c=c.upper) for c in cons[:1]])
+            if cons:
+                assert np.array_equal(mm.piece_values(X), [float(np.trace(cons[0].A @ X)) + cons[0].upper])
+            cases += 1
+    assert cases >= 270
+
+
+def test_values_read_bounds_at_call_time():
+    prob = ElsProblem(n=2, p=1, A0=np.zeros((1, 2)), constraints=[LinearConstraint(A=np.array([[1.0, 0.0]]))])
+    X = np.array([[1.0], [0.0]])
+    assert residuals(prob, X).lin_residuals.tolist() == [0.0]
+    prob.constraints[0].upper = 0.25  # set after the problem is built
+    assert residuals(prob, X).lin_residuals.tolist() == [0.75]
+    assert prob.constraint_values(np.zeros((2, 1))).shape == (1,)
+    assert ElsProblem(n=2, p=1, A0=np.zeros((1, 2))).constraint_values(X).shape == (0,)

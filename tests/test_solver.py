@@ -286,6 +286,45 @@ def test_solve_cr_bounds_at_nuclear_norm_stay_feasible():
     assert solve_cr(prob).status != "infeasible"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["lower", "upper", "equality"])
+def test_solve_cr_binding_bound_at_reach_is_one_point(kind):
+    # With A_1 = U S V^T of full row rank, tr(A_1 X) = +-||A_1||_* holds at
+    # the single ball point X* = +-V U^T, so the relaxation is solved there
+    rng = np.random.default_rng({"lower": 21, "upper": 22, "equality": 23}[kind])
+    A0, A = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+    reach = float(np.linalg.norm(A, "nuc"))
+    bounds = {"lower": (reach, math.inf), "upper": (-math.inf, -reach), "equality": (reach, reach)}
+    lower, upper = bounds[kind]
+    prob = ElsProblem(n=6, p=2, A0=A0, constraints=[LinearConstraint(A=A, lower=lower, upper=upper)])
+    U, _, Vt = np.linalg.svd(A, full_matrices=False)
+    X_star = (-1.0 if kind == "upper" else 1.0) * (Vt.T @ U.T)
+    sol = solve_cr(prob)
+    assert sol.status == "optimal"
+    assert np.allclose(sol.X, X_star, atol=1e-12)
+    assert sol.value == pytest.approx(float(np.trace(A0 @ X_star)), abs=1e-12)
+    assert sol.gap_estimate == 0.0
+    # the point is a Stiefel point: the pipeline recovers it exactly
+    from els.pipeline import solve_report
+
+    assert solve_report(prob)["exact_recovery"] is True
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_cr_reach_point_excluded_by_another_row():
+    rng = np.random.default_rng(24)
+    A0, A, B = (rng.standard_normal((2, 6)) for _ in range(3))
+    reach = float(np.linalg.norm(A, "nuc"))
+    U, _, Vt = np.linalg.svd(A, full_matrices=False)
+    at_star = float(np.trace(B @ Vt.T @ U.T))
+    rows = [LinearConstraint(A=A, lower=reach), LinearConstraint(A=B, upper=at_star + 1e-3)]
+    assert solve_cr(ElsProblem(n=6, p=2, A0=A0, constraints=rows)).status == "optimal"
+    rows[1] = LinearConstraint(A=B, upper=at_star - 1e-3)  # X* now violates row 2
+    sol = solve_cr(ElsProblem(n=6, p=2, A0=A0, constraints=rows))
+    assert sol.status == "infeasible"
+    assert sol.value == math.inf
+
+
 def test_solve_cr_feasibility_of_returned_point():
     rng = np.random.default_rng(5)
     cfg = SolverConfig()
