@@ -204,9 +204,20 @@ def second_order_check(
     Z = critical_subspace(prob, Xstar, act)
     if Z.shape[1] == 0:
         return True
-    H = np.kron(fit.Lambda, np.eye(prob.n))
-    reduced = Z.T @ H @ Z
+    reduced = _critical_form(Z, fit.Lambda)
     return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).min()) >= -so_tol
+
+
+def _critical_form(Z: np.ndarray, Lambda: np.ndarray) -> np.ndarray:
+    """Z.T (Lambda (x) I_n) Z for a basis Z of column-stacked n x p matrices.
+
+    Column j of Z is vec(V_j), which reshapes row-major to V_j.T, and
+    (Lambda (x) I_n) vec(V_j) = vec(V_j Lambda.T) reshapes to Lambda V_j.T.
+    """
+    p = Lambda.shape[0]
+    d = Z.shape[1]
+    Zt = Z.T
+    return Zt @ (Lambda @ Zt.reshape(d, p, -1)).reshape(d, -1).T
 
 
 @dataclass

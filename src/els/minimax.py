@@ -23,7 +23,7 @@ from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .problem import ElsProblem, LinearConstraint, MinimaxProblem, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
-from .solver import SolverConfig, _BallProgram, _Row, solve_cr
+from .solver import SolverConfig, solve_cr, solve_epigraph
 
 
 def piece_subproblem(mm: MinimaxProblem, q: int) -> ElsProblem:
@@ -90,37 +90,11 @@ def solve_minimax_epigraph(mm: MinimaxProblem, cfg: SolverConfig | None = None) 
     """Value of the single epigraph relaxation (cross-check route).
 
     Minimizes t subject to tr(A_i X) + c_i <= t for every piece, the base
-    constraints, and the spectral ball.
+    constraints, and the spectral ball; see ``solver.solve_epigraph``.
     """
-    cfg = cfg or SolverConfig()
-    base = mm.base
-    n, p = base.n, base.p
-
-    # A strictly feasible start for the base constraints.
-    start = solve_cr(
-        ElsProblem(n=n, p=p, A0=np.zeros((p, n)), constraints=list(base.constraints)),
-        cfg,
-    )
-    if start.status != "optimal":
+    sol = solve_epigraph(mm, cfg)
+    if sol.status == "infeasible":
         raise Infeasible("base constraints are infeasible")
-    X0 = start.X
-
-    rows = [
-        _Row(A=c.A, g=np.zeros(1), lower=c.lower, upper=c.upper)
-        for c in base.constraints
-        if c.A.any()  # zero rows are vacuous once the base is known feasible
-    ]
-    for piece in mm.pieces:
-        rows.append(_Row(A=piece.A, g=np.array([-1.0]), lower=-math.inf, upper=-piece.c))
-    c_vec = np.concatenate([np.zeros(n * p), [1.0]])
-    prog = _BallProgram(n, p, 1, c_vec, rows)
-
-    t0 = float(mm.piece_values(X0).max()) + 1.0
-    z0 = np.concatenate([X0.ravel(order="F"), [t0]])
-    if not prog.strictly_feasible(z0):
-        z0[: n * p] *= 1.0 - 1e-9
-        z0[-1] += 1.0
-    res = prog.solve(z0, cfg, gap_target=lambda v: cfg.tol * (1.0 + abs(v)))
-    if res.status != "optimal":
+    if sol.status != "optimal":
         raise Infeasible("epigraph relaxation did not converge")
-    return float(res.z[-1])
+    return sol.value

@@ -48,6 +48,7 @@ def _relaxation_block(sol: CrSolution) -> dict:
         "status": sol.status,
         "value": _json_float(sol.value),
         "gap_estimate": _json_float(sol.gap_estimate),
+        "newton_steps": {"phase1": sol.phase1_newton, "phase2": sol.phase2_newton},
     }
 
 

@@ -7,6 +7,23 @@ damped-Newton barrier path: -log det(I_p - X.T @ X) plus one -log term per
 finite one-sided bound, equality rows (lower == upper) kept as linear
 equalities in the Newton KKT system.
 
+Each Newton step is structured; no np x np matrix is formed.  The ball is a
+homogeneous (Cartan type I) domain, so its barrier Hessian is block
+diagonal in the singular basis of X = P diag(sigma) Q.T: 2 x 2 blocks
+coupling the entries (i, j) and (j, i) of P.T V Q, and a scaling of each
+column of the part of V Q outside range(P).  One p x p eigendecomposition of
+I - X.T X (which gives Q and 1 - sigma**2) per step inverts it in closed
+form, applied as batched products to the residual and to every row.  The
+rows then leave one dense system in their multipliers and the q <= 1
+auxiliary variables, of size m_in + m_eq + q, plus one unknown per row
+combination that vanishes on X (found once per program), so that dependent
+rows that are all near active cannot swamp the step.  A refinement pass on
+the row equations keeps it accurate when the rows pin X at tiny slacks.
+The Newton decrement is dz.H.dz = -dz.rd + rp.dnu.  The same step serves
+phase I (q = 1), phase II (q = 0, with equality rows) and the epigraph
+relaxation of pointwise-maximum objectives (q = 1); one path-following loop
+drives all three, each with its own stop predicate.
+
 Phase-I minimizes a single elastic slack tau that relaxes every finite bound
 by +/- tau, starting from X = 0 which is always strictly inside the ball; the
 instance is declared infeasible when the optimal tau exceeds ``feas_tol``.
@@ -30,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_matrix, thin_svd
-from .problem import ElsProblem, StiefelPoint, bound_violations
+from .problem import ElsProblem, MinimaxProblem, StiefelPoint, bound_violations
 
 _STATUS_OPTIMAL = "optimal"
 _STATUS_INFEASIBLE = "infeasible"
@@ -69,6 +86,8 @@ class CrSolution:
     value: float
     status: str  # optimal | infeasible | numerical-failure
     gap_estimate: float
+    phase1_newton: int = 0  # Newton steps of the elastic feasibility phase
+    phase2_newton: int = 0  # Newton steps of the optimization phase
 
 
 @dataclass
@@ -84,9 +103,8 @@ class _Row:
 @dataclass
 class _CoreResult:
     z: np.ndarray
-    value: float
     gap: float
-    status: str
+    verdict: object  # what the stop predicate returned
     newton_used: int
 
 
@@ -94,7 +112,8 @@ class _BallProgram:
     """min c.z subject to row bounds and the spectral-ball constraint.
 
     Variables are z = (vec(X), w) with X of shape (n, p) column-stacked and
-    w a (possibly empty) vector of auxiliary scalars.
+    w a (possibly empty) vector of q <= 1 auxiliary scalars.  vec(X) is
+    X.T in row-major order, so the ball's arithmetic works on X.T.
     """
 
     def __init__(self, n: int, p: int, q: int, c: np.ndarray, rows: list[_Row]):
@@ -102,9 +121,11 @@ class _BallProgram:
         self.dim = n * p + q
         self.c = c
         self._eye_p = np.eye(p)
-        self._eye_n = np.eye(n)
 
-        eq_rows, up_rows, lo_rows, up_b, lo_b, eq_b = [], [], [], [], [], []
+        # Inequality rows (one per finite one-sided bound, with the sign
+        # that makes slack = sign * (b - r.z) positive inside), then
+        # equality rows.
+        ineq, signs, b_in, eq, b_eq = [], [], [], [], []
         for row in rows:
             r = np.zeros(self.dim)
             if row.A is not None:
@@ -112,112 +133,183 @@ class _BallProgram:
             if row.g is not None:
                 r[n * p :] = row.g
             if math.isfinite(row.lower) and row.lower == row.upper:
-                eq_rows.append(r)
-                eq_b.append(row.lower)
+                eq.append(r)
+                b_eq.append(row.lower)
                 continue
-            if math.isfinite(row.upper):
-                up_rows.append(r)
-                up_b.append(row.upper)
-            if math.isfinite(row.lower):
-                lo_rows.append(r)
-                lo_b.append(row.lower)
-        self.R_eq = np.array(eq_rows).reshape(len(eq_rows), self.dim)
-        self.b_eq = np.array(eq_b)
-        self.RU = np.array(up_rows).reshape(len(up_rows), self.dim)
-        self.bu = np.array(up_b)
-        self.RL = np.array(lo_rows).reshape(len(lo_rows), self.dim)
-        self.bl = np.array(lo_b)
-        self.m_eq = len(eq_rows)
+            for bound, sign in ((row.upper, 1.0), (row.lower, -1.0)):
+                if math.isfinite(bound):
+                    ineq.append(r)
+                    signs.append(sign)
+                    b_in.append(bound)
+        self.m_in, self.m_eq = len(ineq), len(eq)
+        G = np.array(ineq + eq).reshape(self.m_in + self.m_eq, self.dim)
+        self.R_in, self.R_eq = G[: self.m_in], G[self.m_in :]
+        self.b_in, self.b_eq = np.array(b_in), np.array(b_eq)
+        self._sign = np.array(signs)
         # Barrier parameter: p for the ball plus one per one-sided bound.
-        self.nu_barrier = float(p + len(up_rows) + len(lo_rows))
+        self.nu_barrier = float(p + self.m_in)
         self._c_scale = 1.0 + float(np.abs(c).max()) if c.size else 1.0
+
+        # The Newton step's row data: every row's X part as the p x n matrix
+        # A (a view of G), a basis N of the row combinations that vanish on
+        # X (N.T Gx = 0, such as the two sides of a two-sided bound), and
+        # the parts of the Newton system that stay fixed (see _newton_step).
+        k, nx = G.shape[0], n * p
+        self._Gx = G[:, :nx].reshape(k, p, n)
+        if k:
+            U, sv, _ = np.linalg.svd(G[:, :nx])
+            rank = int(np.sum(sv > sv[0] * max(k, nx) * np.finfo(float).eps))
+            N = U[:, rank:]
+        else:
+            N = np.zeros((0, 0))
+        self._null = N
+        Gw = G[:, nx:]
+        K = np.zeros((k + q + N.shape[1],) * 2)
+        K[:k, k : k + q] = Gw
+        K[k : k + q, :k] = Gw.T
+        K[k : k + q, k + q :] = Gw.T @ N
+        K[k + q :, :k] = N.T
+        self._kkt = K
+        self._diag_in = np.diag_indices(self.m_in)
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = z[: self.n * self.p].reshape(self.n, self.p, order="F")
         return X, z[self.n * self.p :]
 
+    def slacks(self, z: np.ndarray) -> np.ndarray:
+        """Slack of each inequality row, positive strictly inside."""
+        return self._sign * (self.b_in - self.R_in @ z)
+
+    def _interior(self, z: np.ndarray):
+        """The ball's spectral data at z (see _ball), or None unless z is
+        strictly inside the ball and every inequality row."""
+        if self.m_in and self.slacks(z).min() <= 0.0:
+            return None
+        return self._ball(z)
+
     def strictly_feasible(self, z: np.ndarray) -> bool:
-        X, _ = self.unpack(z)
-        S = self._eye_p - X.T @ X
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            return False
-        if self.RU.shape[0] and np.any(self.bu - self.RU @ z <= 0.0):
-            return False
-        if self.RL.shape[0] and np.any(self.RL @ z - self.bl <= 0.0):
-            return False
-        return True
+        return self._interior(z) is not None
 
-    def _grad_parts(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gradient at z, with X and the symmetrized inverse Si of I - X.T @ X."""
-        n, p = self.n, self.p
-        X, _ = self.unpack(z)
-        S = self._eye_p - X.T @ X
-        Si = np.linalg.inv(S)
-        Si = 0.5 * (Si + Si.T)
+    def _ball(self, z: np.ndarray):
+        """The thin SVD X = P diag(sigma) Q.T at z, as (Yt, Pt, sigma, Q, lam)
+        with Yt = (X Q).T, Pt = P.T and lam = 1 - sigma**2; None when X is
+        not strictly inside the ball.
 
-        g = np.zeros(self.dim)
-        g[: n * p] = (2.0 * X @ Si).ravel(order="F")
-        if self.RU.shape[0]:
-            g += self.RU.T @ (1.0 / (self.bu - self.RU @ z))
-        if self.RL.shape[0]:
-            g -= self.RL.T @ (1.0 / (self.RL @ z - self.bl))
-        return g, X, Si
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of the full barrier at a strictly feasible z."""
-        return self._grad_parts(z)[0]
-
-    def grad_hess(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the full barrier at a strictly feasible z.
-
-        The ball's Hessian is 2 (Si (x) I + Si (x) X Si X.T + (Si X.T (x) X Si) K)
-        with K the commutation matrix.  The last term only permutes columns,
-        so its entries are written out as single products instead.
+        Q and lam are the eigendecomposition of S = I - X.T X, so the
+        gradient and the interior test see the rounding of S itself: lam
+        taken as 1 - sigma**2 from an SVD of X carries a different rounding
+        error near the sphere, which left the line search stalled at the
+        rounding floor.  P normalizes the columns of X Q; a column with
+        sigma = 0 is left zero, where the Hessian's range and complement
+        blocks coincide.
         """
-        n, p = self.n, self.p
-        g, X, Si = self._grad_parts(z)
-        XSi = X @ Si
-        Hx = 2.0 * np.kron(Si, self._eye_n)
-        Hx += 2.0 * np.kron(Si, XSi @ X.T)
-        Hx += 2.0 * np.einsum("aj,bi->baji", XSi, Si @ X.T).reshape(n * p, n * p)
-        H = np.zeros((self.dim, self.dim))
-        H[: n * p, : n * p] = Hx
-        if self.RU.shape[0]:
-            su = self.bu - self.RU @ z
-            H += (self.RU / su[:, None] ** 2).T @ self.RU
-        if self.RL.shape[0]:
-            sl = self.RL @ z - self.bl
-            H += (self.RL / sl[:, None] ** 2).T @ self.RL
-        return g, 0.5 * (H + H.T)
+        Xt = z[: self.n * self.p].reshape(self.p, self.n)
+        lam, Q = np.linalg.eigh(self._eye_p - Xt @ Xt.T)
+        if lam[0] <= 0.0:
+            return None
+        Yt = Q.T @ Xt
+        sigma = np.sqrt(np.einsum("ij,ij->i", Yt, Yt))
+        Pt = Yt / np.where(sigma > 0.0, sigma, 1.0)[:, None]
+        return Yt, Pt, sigma, Q, lam
+
+    def _grad(self, z: np.ndarray, ball) -> np.ndarray:
+        """Gradient of the full barrier at z, given _ball(z)."""
+        Yt, _, _, Q, lam = ball
+        g = np.empty(self.dim)
+        # The ball's gradient 2 X S^-1 = 2 X Q diag(1 / lam) Q.T.
+        g[: self.n * self.p] = (Q @ (Yt * (2.0 / lam)[:, None])).ravel()
+        g[self.n * self.p :] = 0.0
+        if self.m_in:
+            g += self.R_in.T @ (self._sign / self.slacks(z))
+        return g
 
     # -- Newton path ------------------------------------------------------
 
-    def _kkt_solve(self, H, rd, rp):
-        """Solve the (regularized if needed) Newton KKT system."""
-        m = self.m_eq
-        for reg in (0.0, 1e-12, 1e-9, 1e-6):
-            Hr = H if reg == 0.0 else H + reg * (1.0 + np.trace(H) / H.shape[0]) * np.eye(H.shape[0])
-            try:
-                if m == 0:
-                    dz = np.linalg.solve(Hr, -rd)
-                    dnu = np.zeros(0)
-                else:
-                    KKT = np.block([[Hr, self.R_eq.T], [self.R_eq, np.zeros((m, m))]])
-                    sol = np.linalg.solve(KKT, np.concatenate([-rd, -rp]))
-                    dz, dnu = sol[: self.dim], sol[self.dim :]
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(dz)) and np.all(np.isfinite(dnu)):
-                return dz, dnu
-        return None, None
+    @staticmethod
+    def _ball_hess_solve(ball, Vt: np.ndarray) -> np.ndarray:
+        """Apply the inverse of the ball's Hessian to a stack of transposed
+        n x p matrices, shape (k, p, n).
 
-    def _residual(self, z, nu, t):
-        g = self.grad(z)
-        rd = t * self.c + g + (self.R_eq.T @ nu if self.m_eq else 0.0)
+        The Hessian V -> 2 V S^-1 + 2 X S^-1 (V.T X + X.T V) S^-1 is block
+        diagonal in the singular basis of X.  With d = 1 / lam it maps the
+        coordinates a = P.T V Q to 2 d_i d_j (a_ij + sigma_i sigma_j a_ji),
+        coupling only the pair (i, j), (j, i), and scales column j of
+        (I - P P.T) V Q by 2 d_j.
+        """
+        _, Pt, sigma, Q, lam = ball
+        Wt = Q.T @ Vt
+        At = Wt @ Pt.T
+        Wt -= At @ Pt
+        Wt *= (0.5 * lam)[:, None]
+        ll = np.multiply.outer(lam, lam)
+        C = At * (0.5 * ll)
+        rho = np.multiply.outer(sigma, sigma)
+        # 1 - rho**2 written in lam, which keeps it accurate as sigma -> 1.
+        den = np.add.outer(lam, lam) - ll
+        Wt += ((C - rho * C.transpose(0, 2, 1)) / den) @ Pt
+        return Q @ Wt
+
+    def _newton_step(self, z, ball, rd, rp):
+        """Solve the Newton KKT system [H R_eq.T; R_eq 0] (dz, dnu) = -(rd, rp).
+
+        H is the ball's Hessian plus R.T diag(1/slack**2) R over the
+        inequality rows R.  The ball part is inverted in closed form, which
+        leaves one dense system in the row multipliers u = (y, dnu), with
+        y = R dz / slack**2, and -dw, of size m_in + m_eq + q:
+
+            [M + D  Gw] [u  ]   [Gx v0 + (0, rp)]
+            [Gw.T   0 ] [-dw] = [-rd_w          ],   dX = v0 - Z.T u,
+
+        with Z = H_ball^-1 Gx.T, M = Gx Z, D = diag(slack**2, 0) and
+        v0 = H_ball^-1 (-rd_x).  M is singular along the row combinations N
+        of __init__, so u = w + N alpha is split with N.T w = 0, which adds
+        one unknown per column of N: dX reads w alone, and when dependent
+        rows are all near active the huge, rounding-led N part of u never
+        enters it.  When the rows pin X
+        (slack**2 far below M), dX is a small difference of large terms;
+        one refinement pass on the row equations Gx dX + Gw dw = D u -
+        (0, rp) restores it.  Returns None when the system is singular.
+        """
+        nx, m, q = self.n * self.p, self.m_in, self.q
+        Gx, N, K = self._Gx, self._null, self._kkt
+        k, kq = Gx.shape[0], Gx.shape[0] + q
+        d2 = np.zeros(k)
+        d2[:m] = self.slacks(z) ** 2
+
+        sols = self._ball_hess_solve(
+            ball, np.concatenate([-rd[:nx].reshape(1, self.p, self.n), Gx])
+        ).reshape(k + 1, nx)
+        v0, Z = sols[0], sols[1:]
+        Gx = Gx.reshape(k, nx)
+
+        K[:k, :k] = Gx @ Z.T
+        K[self._diag_in] += d2[:m]
+        K[:k, kq:] = d2[:, None] * N
+        rhs = np.zeros(K.shape[0])
+        rhs[:k] = Gx @ v0
+        rhs[m:k] += rp
+        rhs[k:kq] = -rd[nx:]
+        try:
+            sol = np.linalg.solve(K, rhs)
+            dx = v0 - sol[:k] @ Z
+            u = sol[:k] + N @ sol[kq:]
+            resid = np.zeros(K.shape[0])
+            resid[:k] = Gx @ dx - K[:k, k:kq] @ sol[k:kq] - d2 * u
+            resid[m:k] += rp
+            fix = np.linalg.solve(K, resid)
+        except np.linalg.LinAlgError:
+            return None
+        sol += fix
+        dz = np.concatenate([dx - fix[:k] @ Z, -sol[k:kq]])
+        dnu = (sol[:k] + N @ sol[kq:])[m:]
+        if not (np.isfinite(dz).all() and np.isfinite(dnu).all()):
+            return None
+        return dz, dnu
+
+    def _residuals(self, z, nu, t, ball):
+        rd = t * self.c + self._grad(z, ball) + (self.R_eq.T @ nu if self.m_eq else 0.0)
         rp = self.R_eq @ z - self.b_eq if self.m_eq else np.zeros(0)
-        return math.sqrt(float(rd @ rd) + float(rp @ rp))
+        return rd, rp, math.sqrt(float(rd @ rd) + float(rp @ rp))
 
     def _center(self, z, nu, t, budget):
         """Damped Newton to the analytic center at path parameter t.
@@ -225,21 +317,23 @@ class _BallProgram:
         Returns (z, nu, used, ok).  Infeasible-start formulation: the
         equality residual enters the Newton system and shrinks geometrically
         with the step length.  The line search tolerates rounding-level
-        non-decrease so high path parameters do not stall prematurely.
+        non-decrease so high path parameters do not stall prematurely.  The
+        decrement dz.H.dz = -dz.rd + rp.dnu needs no Hessian.
         """
         b_scale = 1.0 + (np.abs(self.b_eq).max() if self.m_eq else 0.0)
         noise = 1e-14 * t * self._c_scale * math.sqrt(self.dim)
         used = 0
         dec = math.inf
+        ball = self._ball(z)
+        if ball is None:
+            return z, nu, used, False
+        rd, rp, rnorm = self._residuals(z, nu, t, ball)
         while used < min(budget, _MAX_INNER):
-            g, H = self.grad_hess(z)
-            rd = t * self.c + g + (self.R_eq.T @ nu if self.m_eq else 0.0)
-            rp = self.R_eq @ z - self.b_eq if self.m_eq else np.zeros(0)
-            rnorm = math.sqrt(float(rd @ rd) + float(rp @ rp))
-            dz, dnu = self._kkt_solve(H, rd, rp)
-            if dz is None:
+            step = self._newton_step(z, ball, rd, rp)
+            if step is None:
                 return z, nu, used, False
-            dec = math.sqrt(max(float(dz @ H @ dz), 0.0))
+            dz, dnu = step
+            dec = math.sqrt(max(float(rp @ dnu) - float(dz @ rd), 0.0))
             pri_ok = self.m_eq == 0 or np.abs(rp).max() <= 1e-11 * b_scale
             if pri_ok and dec <= 1e-4:
                 return z, nu, used, True
@@ -248,11 +342,13 @@ class _BallProgram:
             accepted = False
             for _ in range(60):
                 z_new = z + s * dz
-                if self.strictly_feasible(z_new):
+                ball_new = self._interior(z_new)
+                if ball_new is not None:
                     nu_new = nu + s * dnu
-                    rnorm_new = self._residual(z_new, nu_new, t)
+                    rd_new, rp_new, rnorm_new = self._residuals(z_new, nu_new, t, ball_new)
                     if rnorm_new <= (1.0 - 0.01 * s) * rnorm + noise:
-                        z, nu = z_new, nu_new
+                        z, nu, ball = z_new, nu_new, ball_new
+                        rd, rp, rnorm = rd_new, rp_new, rnorm_new
                         accepted = True
                         break
                 s *= 0.5
@@ -264,35 +360,45 @@ class _BallProgram:
                 return z, nu, used, bool(pri_ok and dec <= 0.25)
         return z, nu, used, bool(dec <= 0.25)
 
-    def solve(self, z0, cfg: SolverConfig, gap_target) -> _CoreResult:
-        """Follow the central path from the strictly feasible z0."""
+    def solve(self, z0, cfg: SolverConfig, stop) -> _CoreResult:
+        """Follow the central path from the strictly feasible z0.
+
+        After each centering, ``stop(z, gap, centered, spent)`` gets the
+        iterate, the duality-gap bound nu / t, whether the centering
+        converged and whether the Newton budget (or the last outer step) is
+        spent.  It returns the verdict to end with, or None to raise t.
+        """
         z = z0.copy()
         nu = np.zeros(self.m_eq)
         t = 1.0
         used = 0
-        status = _STATUS_FAILURE
-        for _ in range(_MAX_OUTER):
+        verdict = None
+        for outer in range(_MAX_OUTER):
             z, nu, inner, ok = self._center(z, nu, t, cfg.max_newton - used)
             used += inner
-            if not ok:
-                status = _STATUS_FAILURE
-                break
-            value = float(self.c @ z)
-            gap = self.nu_barrier / t
-            if gap <= gap_target(value):
-                status = _STATUS_OPTIMAL
-                break
-            if used >= cfg.max_newton:
-                status = _STATUS_FAILURE
+            spent = used >= cfg.max_newton or outer == _MAX_OUTER - 1
+            verdict = stop(z, self.nu_barrier / t, ok, spent)
+            if verdict is not None:
                 break
             t *= cfg.barrier_mu
-        return _CoreResult(
-            z=z,
-            value=float(self.c @ z),
-            gap=self.nu_barrier / t,
-            status=status,
-            newton_used=used,
-        )
+        return _CoreResult(z=z, gap=self.nu_barrier / t, verdict=verdict, newton_used=used)
+
+
+def _optimal_within(c: np.ndarray, tol: float):
+    """Stop predicate of an optimization phase: optimal once the gap bound
+    is at most tol (1 + |c.z|), a failure when centering fails or the
+    Newton budget is spent first."""
+
+    def stop(z, gap, centered, spent):
+        if not centered:
+            return _STATUS_FAILURE
+        if gap <= tol * (1.0 + abs(float(c @ z))):
+            return _STATUS_OPTIMAL
+        if spent:
+            return _STATUS_FAILURE
+        return None
+
+    return stop
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +453,14 @@ def _effective_constraints(prob: ElsProblem) -> tuple[list, bool]:
     return kept, False
 
 
-def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, float, str]:
+def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, float, str, int]:
     """Elastic feasibility solve.
 
     Relaxes every finite bound by +/- tau and minimizes tau from X = 0.
-    Returns (feasible, X, tau, status).  When equality rows are present the
-    elastic optimum is approached asymptotically, so the decision also
-    accepts the candidate obtained by projecting the iterate exactly onto
-    the equality rows.
+    Returns (feasible, X, tau, status, newton_steps).  When equality rows
+    are present the elastic optimum is approached asymptotically, so the
+    decision also accepts the candidate obtained by projecting the iterate
+    exactly onto the equality rows.
     """
     n, p = prob.n, prob.p
     rows = []
@@ -367,49 +473,32 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, floa
             rows.append(_Row(A=c.A, g=np.array([1.0]), lower=c.lower, upper=math.inf))
             tau0 = max(tau0, c.lower)
     if not rows:
-        return True, np.zeros((n, p)), 0.0, _STATUS_OPTIMAL
+        return True, np.zeros((n, p)), 0.0, _STATUS_OPTIMAL, 0
 
     prog = _BallProgram(n, p, 1, np.concatenate([np.zeros(n * p), [1.0]]), rows)
-    z = np.zeros(prog.dim)
-    z[-1] = tau0 + 1.0
-    nu = np.zeros(prog.m_eq)
+    z0 = np.zeros(prog.dim)
+    z0[-1] = tau0 + 1.0
     margin = max(10.0 * cfg.feas_tol, 1e-7)
     gap_floor = max(0.25 * cfg.feas_tol, 1e-13)
 
-    t = 1.0
-    used = 0
-    stalled = False
-    for _ in range(_MAX_OUTER):
-        z, nu, inner, ok = prog._center(z, nu, t, cfg.max_newton - used)
-        used += inner
+    def decide(z, gap, centered, spent):
         tau = float(z[-1])
         X, _ = prog.unpack(z)
-        gap = prog.nu_barrier / t
         if tau <= -margin:
             # Comfortably interior point of the unrelaxed constraints.
             return True, X, tau, _STATUS_OPTIMAL
         Xp = _project_equalities(prob, X)
         if _max_violation(prob, Xp) <= 0.9 * cfg.feas_tol and _interior_start(prob, Xp):
             return True, Xp, max(tau, 0.0), _STATUS_OPTIMAL
-        if not ok or used >= cfg.max_newton:
-            stalled = True
-            break
-        if tau - 2.0 * gap > cfg.feas_tol:
-            return False, X, tau, _STATUS_OPTIMAL
-        if gap <= gap_floor:
-            break
-        t *= cfg.barrier_mu
+        stalled = not centered or spent
+        if stalled or tau - 2.0 * gap > cfg.feas_tol or gap <= gap_floor:
+            if tau <= cfg.feas_tol:
+                return True, X, tau, _STATUS_OPTIMAL
+            return False, X, tau, _STATUS_FAILURE if stalled else _STATUS_OPTIMAL
+        return None
 
-    tau = float(z[-1])
-    X, _ = prog.unpack(z)
-    if tau <= cfg.feas_tol:
-        return True, X, tau, _STATUS_OPTIMAL
-    Xp = _project_equalities(prob, X)
-    if _max_violation(prob, Xp) <= 0.9 * cfg.feas_tol and _interior_start(prob, Xp):
-        return True, Xp, max(tau, 0.0), _STATUS_OPTIMAL
-    if stalled:
-        return False, X, tau, _STATUS_FAILURE
-    return False, X, tau, _STATUS_OPTIMAL
+    res = prog.solve(z0, cfg, decide)
+    return (*res.verdict, res.newton_used)
 
 
 def _reach_verdict(prob: ElsProblem, feas_tol: float) -> CrSolution | None:
@@ -496,20 +585,21 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
     if len(kept) != prob.k:
         prob = ElsProblem(n=n, p=p, A0=prob.A0, constraints=kept)
 
+    steps1 = 0
     if _zero_start_ok(prob):
         X0 = np.zeros((n, p))
         phase1_gap = 0.0
     else:
-        feasible, X0, tau, status = _phase1(prob, cfg)
+        feasible, X0, tau, status, steps1 = _phase1(prob, cfg)
         if status != _STATUS_OPTIMAL:
-            return CrSolution(X=X0, value=math.nan, status=_STATUS_FAILURE, gap_estimate=math.inf)
+            return CrSolution(X0, math.nan, _STATUS_FAILURE, math.inf, phase1_newton=steps1)
         if not feasible:
-            return CrSolution(X=X0, value=math.inf, status=_STATUS_INFEASIBLE, gap_estimate=math.inf)
+            return CrSolution(X0, math.inf, _STATUS_INFEASIBLE, math.inf, phase1_newton=steps1)
         phase1_gap = max(tau, 0.0)
 
     if obj_norm == 0.0:
         # Any feasible point is optimal; the phase-I point is already one.
-        return CrSolution(X=X0, value=0.0, status=_STATUS_OPTIMAL, gap_estimate=phase1_gap)
+        return CrSolution(X0, 0.0, _STATUS_OPTIMAL, phase1_gap, phase1_newton=steps1)
 
     rows = [_Row(A=c.A, g=None, lower=c.lower, upper=c.upper) for c in prob.constraints]
     prog = _BallProgram(n, p, 0, prob.A0.ravel().astype(float), rows)
@@ -520,15 +610,62 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
                 z0 = z0 * (1.0 - shrink)
                 break
         else:
-            return CrSolution(X=X0, value=math.nan, status=_STATUS_FAILURE, gap_estimate=math.inf)
+            return CrSolution(X0, math.nan, _STATUS_FAILURE, math.inf, phase1_newton=steps1)
 
-    res = prog.solve(z0, cfg, gap_target=lambda v: cfg.tol * (1.0 + abs(v)))
+    res = prog.solve(z0, cfg, _optimal_within(prog.c, cfg.tol))
     X, _ = prog.unpack(res.z)
     return CrSolution(
         X=X,
         value=float(np.trace(prob.A0 @ X)),
-        status=res.status,
+        status=res.verdict,
         gap_estimate=res.gap,
+        phase1_newton=steps1,
+        phase2_newton=res.newton_used,
+    )
+
+
+def solve_epigraph(mm: MinimaxProblem, cfg: SolverConfig | None = None) -> CrSolution:
+    """Relaxation of min over the ball of max_i (tr(A_i X) + c_i) subject to
+    the base constraints, as one barrier program in (X, t).
+
+    Minimizes t subject to tr(A_i X) - t <= -c_i for every piece, the base
+    rows and the spectral ball, from a strictly feasible point of the base
+    constraints found by ``solve_cr``.  ``value`` is the optimal t; the
+    status is ``infeasible`` when the base constraints are.
+    """
+    cfg = cfg or SolverConfig()
+    base = mm.base
+    n, p = base.n, base.p
+    start = solve_cr(
+        ElsProblem(n=n, p=p, A0=np.zeros((p, n)), constraints=list(base.constraints)), cfg
+    )
+    steps1 = start.phase1_newton
+    if start.status != _STATUS_OPTIMAL:
+        return CrSolution(start.X, start.value, start.status, math.inf, phase1_newton=steps1)
+
+    rows = [
+        _Row(A=c.A, g=np.zeros(1), lower=c.lower, upper=c.upper)
+        for c in base.constraints
+        if c.A.any()  # zero rows are vacuous once the base is known feasible
+    ]
+    for piece in mm.pieces:
+        rows.append(_Row(A=piece.A, g=np.array([-1.0]), lower=-math.inf, upper=-piece.c))
+    prog = _BallProgram(n, p, 1, np.concatenate([np.zeros(n * p), [1.0]]), rows)
+
+    t0 = float(mm.piece_values(start.X).max()) + 1.0
+    z0 = np.concatenate([start.X.ravel(order="F"), [t0]])
+    if not prog.strictly_feasible(z0):
+        z0[: n * p] *= 1.0 - 1e-9
+        z0[-1] += 1.0
+    res = prog.solve(z0, cfg, _optimal_within(prog.c, cfg.tol))
+    X, w = prog.unpack(res.z)
+    return CrSolution(
+        X=X,
+        value=float(w[0]),
+        status=res.verdict,
+        gap_estimate=res.gap,
+        phase1_newton=steps1,
+        phase2_newton=res.newton_used,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from els.certificate import (
     KktFit,
+    _critical_form,
     active_set,
     certify_global,
     critical_subspace,
@@ -200,3 +201,12 @@ def test_certificate_soundness_against_search():
         value, _, _ = oracle_solve(prob, restarts=20, seed=checked)
         assert prob.objective(point.X) <= value + 1e-5
         checked += 1
+
+
+def test_critical_form_matches_kronecker_product():
+    rng = np.random.default_rng(40)
+    for n, p, d in ((3, 1, 2), (6, 2, 5), (12, 4, 30)):
+        Z = np.linalg.qr(rng.standard_normal((n * p, d)))[0]
+        Lambda = rng.standard_normal((p, p))
+        reference = Z.T @ np.kron(Lambda, np.eye(n)) @ Z
+        assert np.allclose(_critical_form(Z, Lambda), reference, rtol=0.0, atol=1e-12)

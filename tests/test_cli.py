@@ -47,6 +47,7 @@ def test_solve_flags_inexactness(tmp_path):
     assert res.returncode == 0
     doc = json.loads(out.read_text())
     assert abs(doc["relaxation"]["value"]) <= 1e-6
+    assert doc["relaxation"]["newton_steps"] == {"phase1": 4, "phase2": 91}
     assert doc["exact_recovery"] is False
     assert doc["reduction"]["attempted"] and not doc["reduction"]["succeeded"]
     assert doc["conditions"]["exact"] is False
@@ -120,6 +121,7 @@ def test_reports_byte_identical_modulo_timings(tmp_path):
         assert res.returncode == 0
     d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     d1.pop("timings"), d2.pop("timings")
+    assert d1["relaxation"]["newton_steps"]["phase2"] > 0
     assert json.dumps(d1) == json.dumps(d2)
 
 

@@ -18,6 +18,9 @@ def test_solve_report_exact_instance():
     assert report["problem"]["n"] == prob.n
     assert report["conditions"]["exact"] is True
     assert report["relaxation"]["status"] == "optimal"
+    steps = report["relaxation"]["newton_steps"]
+    assert set(steps) == {"phase1", "phase2"} and steps["phase2"] > 0
+    assert solve_report(prob)["relaxation"]["newton_steps"] == steps
     assert report["reduction"]["succeeded"] is True
     assert report["exact_recovery"] is True
     rec = report["recovered"]
@@ -52,6 +55,8 @@ def test_solve_report_infeasible():
     report = solve_report(prob)
     assert report["relaxation"]["status"] == "infeasible"
     assert report["relaxation"]["value"] == "inf"
+    # a bound beyond the reach ||A_1||_* = 1 is decided before any Newton step
+    assert report["relaxation"]["newton_steps"] == {"phase1": 0, "phase2": 0}
     assert report["reduction"]["attempted"] is False
 
 

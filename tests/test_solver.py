@@ -1,14 +1,15 @@
 """Tests for the barrier solver and the closed-form k=0 route."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from els.fixtures import build_fixture
 from els.linalg import random_stiefel
-from els.problem import ElsProblem, LinearConstraint
-from els.solver import SolverConfig, _BallProgram, _Row, solve_cr, solve_ls_svd
+from els.problem import ElsProblem, LinearConstraint, MinimaxPiece, MinimaxProblem
+from els.solver import SolverConfig, _BallProgram, _Row, solve_cr, solve_epigraph, solve_ls_svd
 
 
 def random_feasible_problem(rng, n_max=6, k_max=3, equalities=True):
@@ -40,46 +41,10 @@ def random_feasible_problem(rng, n_max=6, k_max=3, equalities=True):
     return ElsProblem(n=n, p=p, A0=A0, constraints=cons), Xbar
 
 
-def test_barrier_derivatives_match_finite_differences():
-    rng = np.random.default_rng(0)
-    n, p = 3, 2
-    rows = [
-        _Row(A=rng.standard_normal((p, n)), g=None, lower=-1.5, upper=2.0) for _ in range(2)
-    ]
-    prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
-
-    def phi(z):
-        X, _ = prog.unpack(z)
-        val = -math.log(np.linalg.det(np.eye(p) - X.T @ X))
-        val -= float(np.sum(np.log(prog.bu - prog.RU @ z)))
-        val -= float(np.sum(np.log(prog.RL @ z - prog.bl)))
-        return val
-
-    z = 0.1 * rng.standard_normal(prog.dim)
-    assert prog.strictly_feasible(z)
-    g, H = prog.grad_hess(z)
-    eps = 1e-6
-    for i in range(prog.dim):
-        e = np.zeros(prog.dim)
-        e[i] = eps
-        assert g[i] == pytest.approx((phi(z + e) - phi(z - e)) / (2 * eps), abs=1e-5)
-        gp, _ = prog.grad_hess(z + e)
-        gm, _ = prog.grad_hess(z - e)
-        assert np.allclose(H[:, i], (gp - gm) / (2 * eps), atol=1e-4)
-
-
-def _commutation(n, p):
-    """K with K @ vec(V) = vec(V.T) for V of shape (n, p), column-stacked."""
-    K = np.zeros((n * p, n * p))
-    for i in range(n):
-        for j in range(p):
-            K[j + i * p, i + j * n] = 1.0
-    return K
-
-
 def _reference_grad_hess(prog, z):
-    """The barrier derivatives with the commuted Hessian term taken as a
-    product with the commutation matrix, in the same operation order."""
+    """The barrier derivatives as dense matrices, with the ball's Hessian
+    2 (Si (x) I + Si (x) X Si X.T + (Si X.T (x) X Si) K) built from Kronecker
+    products and the commutation matrix K."""
     n, p = prog.n, prog.p
     X, _ = prog.unpack(z)
     Si = np.linalg.inv(np.eye(p) - X.T @ X)
@@ -92,52 +57,305 @@ def _reference_grad_hess(prog, z):
     Hx += 2.0 * np.kron(Si @ X.T, XSi) @ _commutation(n, p)
     H = np.zeros((prog.dim, prog.dim))
     H[: n * p, : n * p] = Hx
-    if prog.RU.shape[0]:
-        su = prog.bu - prog.RU @ z
-        g += prog.RU.T @ (1.0 / su)
-        H += (prog.RU / su[:, None] ** 2).T @ prog.RU
-    if prog.RL.shape[0]:
-        sl = prog.RL @ z - prog.bl
-        g -= prog.RL.T @ (1.0 / sl)
-        H += (prog.RL / sl[:, None] ** 2).T @ prog.RL
+    if prog.m_in:
+        s = prog.slacks(z)
+        g += prog.R_in.T @ (prog._sign / s)
+        H += (prog.R_in / s[:, None] ** 2).T @ prog.R_in
     return g, 0.5 * (H + H.T)
 
 
-def _assert_structured_hessian_exact(prog, z):
+def _commutation(n, p):
+    """K with K @ vec(V) = vec(V.T) for V of shape (n, p), column-stacked."""
+    K = np.zeros((n * p, n * p))
+    for i in range(n):
+        for j in range(p):
+            K[j + i * p, i + j * n] = 1.0
+    return K
+
+
+def test_barrier_derivatives_match_finite_differences():
+    rng = np.random.default_rng(0)
+    n, p = 3, 2
+    rows = [
+        _Row(A=rng.standard_normal((p, n)), g=None, lower=-1.5, upper=2.0) for _ in range(2)
+    ]
+    prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
+
+    def phi(z):
+        X, _ = prog.unpack(z)
+        val = -math.log(np.linalg.det(np.eye(p) - X.T @ X))
+        val -= float(np.sum(np.log(prog.slacks(z))))
+        return val
+
+    z = 0.1 * rng.standard_normal(prog.dim)
     assert prog.strictly_feasible(z)
-    g, H = prog.grad_hess(z)
-    g_ref, H_ref = _reference_grad_hess(prog, z)
-    assert np.array_equal(g, g_ref)
-    assert np.array_equal(H, H_ref)
-    assert np.array_equal(prog.grad(z), g)
+    g = prog._grad(z, prog._ball(z))
+    _, H = _reference_grad_hess(prog, z)
+    eps = 1e-6
+    for i in range(prog.dim):
+        e = np.zeros(prog.dim)
+        e[i] = eps
+        assert g[i] == pytest.approx((phi(z + e) - phi(z - e)) / (2 * eps), abs=1e-5)
+        gp = prog._grad(z + e, prog._ball(z + e))
+        gm = prog._grad(z - e, prog._ball(z - e))
+        assert np.allclose(H[:, i], (gp - gm) / (2 * eps), atol=1e-4)
 
 
-def test_structured_hessian_matches_commutation_formula_one_sided_rows():
+def _dense_step(prog, z, rd, rp):
+    """The Newton KKT step solved densely with the reference Hessian."""
+    _, H = _reference_grad_hess(prog, z)
+    m = prog.m_eq
+    K = np.zeros((prog.dim + m, prog.dim + m))
+    K[: prog.dim, : prog.dim] = H
+    K[: prog.dim, prog.dim :] = prog.R_eq.T
+    K[prog.dim :, : prog.dim] = prog.R_eq
+    sol = np.linalg.solve(K, -np.concatenate([rd, rp]))
+    return sol[: prog.dim], sol[prog.dim :]
+
+
+def _exact_solve(A, b):
+    """Gaussian elimination on object arrays of Fractions."""
+    A = np.concatenate([A, b[:, None]], axis=1)
+    N = A.shape[0]
+    for j in range(N):
+        piv = next(i for i in range(j, N) if A[i, j] != 0)
+        A[[j, piv]] = A[[piv, j]]
+        A[j] = A[j] / A[j, j]
+        for i in range(N):
+            if i != j and A[i, j] != 0:
+                A[i] = A[i] - A[i, j] * A[j]
+    return A[:, -1]
+
+
+def _exact_dense_step(prog, z, rd, rp):
+    """_dense_step in exact rational arithmetic on the same float data.
+
+    Near the sphere or with a row at a tiny slack, the float64 dense solve
+    itself is off by 2e-4 to 4e-2 relative in the cases below (its
+    Hessian's condition number reaches 1e16), so they are checked against
+    this one.
+    """
+    exact = np.vectorize(Fraction, otypes=[object])
+    n, p = prog.n, prog.p
+    X = exact(prog.unpack(z)[0])
+    eye_p, eye_n = np.eye(p, dtype=int).astype(object), np.eye(n, dtype=int).astype(object)
+    Si = np.array([_exact_solve(eye_p - X.T @ X, eye_p[:, j]) for j in range(p)]).T
+    XSi = X @ Si
+    Hx = 2 * np.kron(Si, eye_n) + 2 * np.kron(Si, XSi @ X.T)
+    Hx = Hx + 2 * np.kron(Si @ X.T, XSi) @ _commutation(n, p).astype(int).astype(object)
+    H = np.zeros((prog.dim, prog.dim), dtype=int).astype(object)
+    H[: n * p, : n * p] = Hx
+    if prog.m_in:
+        R = exact(prog.R_in)
+        s = exact(prog._sign) * (exact(prog.b_in) - R @ exact(z))
+        H = H + (R / (s * s)[:, None]).T @ R
+    m = prog.m_eq
+    K = np.zeros((prog.dim + m, prog.dim + m), dtype=int).astype(object)
+    K[: prog.dim, : prog.dim] = H
+    K[: prog.dim, prog.dim :] = exact(prog.R_eq).T
+    K[prog.dim :, : prog.dim] = exact(prog.R_eq)
+    sol = _exact_solve(K, -exact(np.concatenate([rd, rp]))).astype(float)
+    return sol[: prog.dim], sol[prog.dim :]
+
+
+def _assert_step_matches_dense(prog, z, nu, t=3.0, rtol=1e-10, exact=False):
+    """The structured Newton step and decrement equal the dense solve's,
+    in float64 or, with ``exact``, in rational arithmetic."""
+    assert prog.strictly_feasible(z)
+    g_ref, H = _reference_grad_hess(prog, z)
+    ball = prog._ball(z)
+    # the gradient's rounding grows like 1 / (1 - ||X||^2) near the sphere
+    X, _ = prog.unpack(z)
+    grad_tol = 1e-14 / (1.0 - np.linalg.norm(X, 2) ** 2) * np.linalg.norm(g_ref)
+    assert np.linalg.norm(prog._grad(z, ball) - g_ref) <= grad_tol
+    rd, rp, _ = prog._residuals(z, nu, t, ball)
+    dz, dnu = prog._newton_step(z, ball, rd, rp)
+    dz_ref, dnu_ref = (_exact_dense_step if exact else _dense_step)(prog, z, rd, rp)
+    assert np.linalg.norm(dz - dz_ref) <= rtol * np.linalg.norm(dz_ref)
+    assert np.linalg.norm(dnu - dnu_ref) <= rtol * max(np.linalg.norm(dnu_ref), 1e-300)
+    # the decrement dz.H.dz = -dz.rd + rp.dnu
+    dec2 = float(rp @ dnu) - float(dz @ rd)
+    assert dec2 == pytest.approx(float(rp @ dnu_ref) - float(dz_ref @ rd), rel=1e-9)
+    if not exact:
+        assert dec2 == pytest.approx(float(dz_ref @ H @ dz_ref), rel=1e-9)
+    return dz
+
+
+def _point_inside(rng, n, p, sigma_max):
+    """z = vec(X) with X = U diag(sigma) V.T and the given largest sigma."""
+    U = random_stiefel(n, p, rng)
+    V = random_stiefel(p, p, rng)
+    sigma = np.sort(rng.uniform(0.0, sigma_max, p))[::-1]
+    sigma[0] = sigma_max
+    return (U @ np.diag(sigma) @ V.T).ravel(order="F")
+
+
+def _rows_around(rng, n, p, z, kinds, g=None, slack=0.5):
+    """Rows of the given kinds ('upper', 'lower', 'both', 'equality') with
+    slack at z; g is the w part of each row."""
+    X = z[: n * p].reshape(n, p, order="F")
+    rows = []
+    for kind in kinds:
+        A = rng.standard_normal((p, n))
+        v = float(np.trace(A @ X)) + (float(g @ z[n * p :]) if g is not None else 0.0)
+        bounds = {
+            "upper": (-math.inf, v + slack),
+            "lower": (v - slack, math.inf),
+            "both": (v - slack, v + 2 * slack),
+            "equality": (v + 0.01, v + 0.01),
+        }[kind]
+        rows.append(_Row(A=A, g=g, lower=bounds[0], upper=bounds[1]))
+    return rows
+
+
+def test_structured_step_matches_dense_kkt_one_sided_rows():
     rng = np.random.default_rng(10)
     for n, p in ((3, 2), (7, 3), (12, 4)):
-        rows = [
-            _Row(A=rng.standard_normal((p, n)), g=None, lower=-math.inf, upper=1.0),
-            _Row(A=rng.standard_normal((p, n)), g=None, lower=-1.0, upper=math.inf),
-            _Row(A=rng.standard_normal((p, n)), g=None, lower=-2.0, upper=2.0),
-        ]
+        z = _point_inside(rng, n, p, 0.8)
+        rows = _rows_around(rng, n, p, z, ("upper", "lower", "both"))
         prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
-        assert prog.RU.shape[0] == 2 and prog.RL.shape[0] == 2
-        _assert_structured_hessian_exact(prog, 0.3 * rng.standard_normal(prog.dim) / n)
+        assert prog.m_in == 4 and prog.m_eq == 0
+        _assert_step_matches_dense(prog, z, np.zeros(0))
 
 
-def test_structured_hessian_matches_commutation_formula_with_equality_row():
+def test_structured_step_matches_dense_kkt_with_equality_row():
     rng = np.random.default_rng(11)
     for n, p in ((4, 2), (9, 3)):
-        rows = [
-            _Row(A=rng.standard_normal((p, n)), g=np.array([0.0]), lower=0.5, upper=0.5),
-            _Row(A=rng.standard_normal((p, n)), g=np.array([-1.0]), lower=-math.inf, upper=1.0),
-            _Row(A=rng.standard_normal((p, n)), g=np.array([1.0]), lower=-1.0, upper=math.inf),
-        ]
-        c = np.concatenate([np.zeros(n * p), [1.0]])
-        prog = _BallProgram(n, p, 1, c, rows)
-        assert prog.m_eq == 1 and prog.dim == n * p + 1
-        z = np.concatenate([0.3 * rng.standard_normal(n * p) / n, [0.2]])
-        _assert_structured_hessian_exact(prog, z)
+        z = _point_inside(rng, n, p, 0.7)
+        rows = _rows_around(rng, n, p, z, ("equality", "upper", "both", "equality"))
+        prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
+        assert prog.m_eq == 2 and prog.m_in == 3
+        _assert_step_matches_dense(prog, z, rng.standard_normal(2))
+
+
+def test_structured_step_matches_dense_kkt_phase1_elastic_program():
+    # every bound relaxed by the auxiliary tau: upper rows carry -tau,
+    # lower rows +tau, as in the phase-I program
+    rng = np.random.default_rng(12)
+    for n, p in ((5, 2), (8, 3)):
+        X = _point_inside(rng, n, p, 0.6)
+        rows = []
+        for _ in range(3):
+            A = rng.standard_normal((p, n))
+            rows.append(_Row(A=A, g=np.array([-1.0]), lower=-math.inf, upper=0.3))
+            rows.append(_Row(A=A, g=np.array([1.0]), lower=-0.2, upper=math.inf))
+        prog = _BallProgram(n, p, 1, np.concatenate([np.zeros(n * p), [1.0]]), rows)
+        z = np.concatenate([X, [0.0]])
+        z[-1] = float(np.max(np.abs(prog.R_in[:, : n * p] @ X))) + 0.7
+        assert prog.q == 1 and prog.m_in == 6
+        _assert_step_matches_dense(prog, z, np.zeros(0), t=50.0)
+
+
+def test_structured_step_matches_dense_kkt_epigraph_program():
+    # base rows with a zero w part (one an equality) and piece rows
+    # tr(A_i X) - t <= -c_i
+    rng = np.random.default_rng(13)
+    n, p = 6, 2
+    X = _point_inside(rng, n, p, 0.75)
+    z = np.concatenate([X, [2.0]])
+    rows = _rows_around(rng, n, p, z, ("both", "equality"), g=np.zeros(1))
+    for _ in range(3):
+        A = rng.standard_normal((p, n))
+        c = -float(np.trace(A @ X.reshape(n, p, order="F"))) + float(rng.uniform(0.5, 1.5))
+        rows.append(_Row(A=A, g=np.array([-1.0]), lower=-math.inf, upper=-c))
+    prog = _BallProgram(n, p, 1, np.concatenate([np.zeros(n * p), [1.0]]), rows)
+    assert prog.m_eq == 1 and prog.m_in == 5
+    _assert_step_matches_dense(prog, z, np.array([0.3]), t=20.0)
+
+
+def test_structured_step_matches_dense_kkt_near_the_sphere():
+    rng = np.random.default_rng(14)
+    for n, p in ((4, 2), (5, 2)):
+        z = _point_inside(rng, n, p, 1.0 - 1e-8)
+        rows = _rows_around(rng, n, p, z, ("upper", "both", "equality"))
+        prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
+        _assert_step_matches_dense(prog, z, np.array([-0.4]), t=1e4, exact=True)
+
+
+def test_structured_step_matches_dense_kkt_when_rows_pin_every_direction():
+    # rank(R_x) = n p: the rows alone fix X, and near-active rows make the
+    # ball's share of the step a small difference of large terms; with
+    # n p + 1 rows they are also dependent
+    rng = np.random.default_rng(15)
+    for n, p, slack in ((2, 1, 1e-6), (3, 2, 1e-5), (3, 2, 1e-7)):
+        for extra in (0, 1):
+            z = _point_inside(rng, n, p, 0.3)
+            rows = _rows_around(rng, n, p, z, ("upper",) * (n * p + extra), slack=slack)
+            prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
+            assert np.linalg.matrix_rank(prog.R_in) == n * p
+            _assert_step_matches_dense(prog, z, np.zeros(0), t=1.0 / slack)
+
+
+def test_structured_step_matches_dense_kkt_one_free_direction_near_active_row():
+    # n p - rank(R_x) = 1 and one row at slack 1e-7
+    rng = np.random.default_rng(16)
+    for n, p in ((3, 1), (2, 2), (5, 1)):
+        z = _point_inside(rng, n, p, 0.5)
+        rows = _rows_around(rng, n, p, z, ("upper",) * (n * p - 1))
+        rows[0].upper -= 0.5 - 1e-7
+        prog = _BallProgram(n, p, 0, rng.standard_normal(n * p), rows)
+        assert np.linalg.matrix_rank(prog.R_in) == n * p - 1
+        assert prog.slacks(z).min() == pytest.approx(1e-7, rel=1e-6)
+        _assert_step_matches_dense(prog, z, np.zeros(0), t=1e7, exact=True)
+
+
+def test_example_4_1_value_and_newton_steps():
+    # the rows pin X at the origin, inside the ball; the step's refinement
+    # pass keeps the barrier converging to the tolerance there
+    sol = solve_cr(build_fixture("example-4.1"), SolverConfig(tol=1e-10))
+    assert sol.status == "optimal"
+    assert 0.0 <= sol.value <= 1e-10
+    assert (sol.phase1_newton, sol.phase2_newton) == (4, 91)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dependent_active_rows_at_an_interior_optimum(n):
+    # x_1 <= 0, x_2 <= 0 and x_1 + x_2 <= 0 all hold with equality at the
+    # optimum X = 0, inside the ball: more active rows than they span
+    rows = [np.eye(1, n, 0), np.eye(1, n, 1), np.eye(1, n, 0) + np.eye(1, n, 1)]
+    prob = ElsProblem(
+        n=n, p=1, A0=-rows[2], constraints=[LinearConstraint(A=A, upper=0.0) for A in rows]
+    )
+    sol = solve_cr(prob, SolverConfig(tol=1e-10))
+    assert sol.status == "optimal"
+    assert 0.0 <= sol.value <= 1e-10
+    assert np.abs(sol.X).max() <= 1e-10
+
+
+def test_newton_steps_are_counted_per_phase():
+    rng = np.random.default_rng(17)
+    prob, _ = random_feasible_problem(rng)
+    sol = solve_cr(prob)
+    assert sol.phase2_newton > 0
+    assert solve_cr(prob).phase1_newton == sol.phase1_newton
+    # X = 0 starts phase II directly when it is strictly feasible
+    unconstrained = solve_cr(ElsProblem(n=4, p=2, A0=rng.standard_normal((2, 4))))
+    assert unconstrained.phase1_newton == 0 and unconstrained.phase2_newton > 0
+
+
+def test_solve_epigraph_single_piece_equals_relaxation():
+    rng = np.random.default_rng(18)
+    prob, _ = random_feasible_problem(rng, equalities=True)
+    mm = MinimaxProblem(base=prob, pieces=[MinimaxPiece(A=prob.A0, c=0.25)])
+    cfg = SolverConfig(tol=1e-10)
+    epi = solve_epigraph(mm, cfg)
+    assert epi.status == "optimal"
+    assert epi.value == pytest.approx(solve_cr(prob, cfg).value + 0.25, abs=1e-7)
+    assert epi.phase2_newton > 0
+
+
+def test_solve_epigraph_infeasible_base():
+    base = ElsProblem(
+        n=2,
+        p=1,
+        A0=np.zeros((1, 2)),
+        constraints=[
+            LinearConstraint(A=np.array([[1.0, 0.0]]), lower=0.5),
+            LinearConstraint(A=np.array([[1.0, 0.0]]), upper=0.4),
+        ],
+    )
+    mm = MinimaxProblem(base=base, pieces=[MinimaxPiece(A=np.array([[0.0, 1.0]]), c=0.0)])
+    assert solve_epigraph(mm).status == "infeasible"
 
 
 def test_solve_ls_svd_identity():
