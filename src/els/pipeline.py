@@ -20,7 +20,7 @@ from .errors import NoFeasiblePoint
 from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .oracle import oracle_solve
-from .problem import ElsProblem, StiefelPoint, serialize_problem
+from .problem import ElsProblem, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
 from .solver import CrSolution, SolverConfig, solve_cr
 
@@ -32,7 +32,15 @@ _EXACT_MATCH_TOL = 1e-5  # recovered objective flagged exact within this, relati
 
 
 def problem_digest(prob: ElsProblem) -> str:
-    return hashlib.sha256(serialize_problem(prob).encode()).hexdigest()[:16]
+    """First 16 hex digits of the SHA-256 of a fixed byte layout: (n, p, k)
+    as little-endian int64, then A0, each A_i, the k lower bounds and the k
+    upper bounds as C-order little-endian float64.  A -0.0 entry is hashed
+    as 0.0, so problems that compare equal share a digest."""
+    lower, upper = prob.bounds()
+    digest = hashlib.sha256(np.array([prob.n, prob.p, prob.k], dtype="<i8").tobytes())
+    for block in (prob.A0, prob.constraint_matrices(), lower, upper):
+        digest.update(np.ascontiguousarray(block + 0.0, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]
 
 
 def _json_float(x: float):

@@ -11,17 +11,25 @@ direction moves X to X + eps * E @ C.T, and it keeps
   + C @ F @ C.T = 0, and
 * every constraint trace when <A_i.T @ C, E> = 0.
 
+F is eliminated.  Write C = Q_c @ R_c and let Q_perp complete Q_c to an
+orthonormal basis of R^p.  B = X @ Q_perp has orthonormal columns (as
+C.T @ Q_perp = 0), and the trailing-block equation splits into its
+Q_perp x Q_perp block, which vanishes for every E; its Q_perp x Q_c block,
+B.T @ E = 0; and its Q_c x Q_c block, which fixes F = -(H + H.T) with
+H = R_c^-1 @ Q_c.T @ X.T @ E.  So the directions are E = N @ Z, with N
+(n x (n-p+s)) an orthonormal basis of range(B)'s complement, and Z solving
+the k short rows <N.T @ A_i.T @ C, Z> = 0.  Their null space has dimension
+(n-p+s) s - rank, which is at least s^2 when p <= n - k: a nonzero
+direction then always exists.  Outside that regime the rows can leave none,
+which is reported as possible inexactness of the relaxation.
+
 The step length eps = -1/lambda, with lambda the eigenvalue of D of largest
 magnitude, makes I + eps*D singular PSD, so each step drops the rank by at
 least one while preserving feasibility exactly and the objective up to the
 solver's optimality gap.  After at most s steps X has orthonormal columns.
 This is the purification argument of Barvinok (1995) and Pataki (1998).
-
 Only (X, C) and the p x n data matrices are touched: no (n+p) x (n+p)
-lifted matrix is formed.  A nonzero direction always exists when
-p <= n - k (the system has fewer independent rows than unknowns);
-outside that regime the search can come up empty, which is reported as
-possible inexactness of the relaxation.
+lifted matrix is formed.
 """
 
 from __future__ import annotations
@@ -32,10 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOL, as_matrix, nullspace_basis, sym_eig
+from .linalg import DEFAULT_TOL, as_matrix, sym_eig
 from .problem import ElsProblem, residuals
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -119,75 +125,61 @@ def factor_state(X, rank_tol: float = DEFAULT_TOL) -> ReductionState:
     return ReductionState(X=X, C=C, s=int(keep.sum()))
 
 
-def _direction_rows(state: ReductionState, mats: np.ndarray):
-    """Rows of the linear system for D = [[0, E], [E.T, F]].
-
-    The unknowns are orthonormal coordinates of D: sqrt(2) * E row by row,
-    then F over the orthonormal symmetric basis in upper-triangle order, so
-    the coordinate norm is the Frobenius norm of D.  The rows force (in
-    order) the upper triangle of the trailing block
-    X.T @ E @ C.T + C @ E.T @ X + C @ F @ C.T and every constraint trace
-    <A_i.T @ C, E> to vanish.  ``mats`` stacks A0 and the constraint
-    matrices as (k+1, p, n).  Returns (rows, objective_row).
-    """
-    X, C, s = state.X, state.C, state.s
-    n, p = X.shape
-    a, b = np.triu_indices(p)
-    i, j = np.triu_indices(s)
-
-    # Coefficient of E[i, j] in entry (a, b) of X.T E C.T + C E.T X.
-    XC = np.einsum("ia,bj->abij", X, C)
-    block_E = (XC + XC.transpose(1, 0, 2, 3))[a, b].reshape(a.size, n * s) / _SQRT2
-    # Coefficient of F's basis element (i, j) in entry (a, b) of C F C.T.
-    CC = np.einsum("ai,bj->abij", C, C)
-    weight = np.where(i == j, 0.5, 1.0 / _SQRT2)
-    block_F = (CC + CC.transpose(0, 1, 3, 2))[a, b][:, i, j] * weight
-
-    # <A.T C, E> for the objective and each constraint; F does not enter.
-    traces = np.einsum("mpn,ps->mns", mats, C).reshape(len(mats), n * s) / _SQRT2
-    traces = np.hstack([traces, np.zeros((len(mats), i.size))])
-
-    rows = np.vstack([np.hstack([block_E, block_F]), traces[1:]])
-    return rows, traces[0]
-
-
 def find_direction(
     state: ReductionState,
     mats: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> Direction | None:
-    """A unit direction in the null space of the trace-preserving system.
+    """A unit direction D = [[0, E], [E.T, F]] that keeps the trailing
+    identity block and every constraint trace, from the eliminated system
+    E = N Z, <N.T A_i.T C, Z> = 0 of the module docstring.
 
     ``mats`` stacks A0 and the constraint matrices as (k+1, p, n), as
     returned by ``ElsProblem.trace_matrices``.  Returns None only when the
-    null space is empty, which cannot happen when p <= n - k.  Among valid
-    directions, one that also annihilates the objective trace is preferred
-    when available (it exists whenever the null space has dimension >= 2,
-    and keeps the objective drift at rounding level); otherwise the first
-    null-space basis column is used.
+    rows leave no Z, which cannot happen when p <= n - k.  A Z that also
+    annihilates the objective row is preferred when the null space has
+    dimension >= 2 (it keeps the objective drift at rounding level).
     """
     if state.s < 1:
         raise InvalidInput("find_direction requires rank excess s >= 1")
-    rows, obj_row = _direction_rows(state, mats)
-    null = nullspace_basis(rows, tol)
-    null_dim = null.shape[1]
+    X, C, s = state.X, state.C, state.s
+    n, p = X.shape
+    Q, R = np.linalg.qr(C, mode="complete")
+    Qc, Rc = Q[:, :s], R[:s]
+    # X Q_perp has orthonormal columns, since C C.T = I - X.T X.
+    N = np.linalg.qr(X @ Q[:, s:], mode="complete").Q[:, p - s :]
+    rows = (N.T @ (mats.transpose(0, 2, 1) @ C)).reshape(len(mats), -1)
+
+    _, sigma, Vt = np.linalg.svd(rows[1:], full_matrices=False)
+    rank = int(np.sum(sigma > tol * max(1.0, sigma[0]))) if sigma.size else 0
+    null_dim = rows.shape[1] - rank
     if null_dim == 0:
         return None
-    keep_objective = nullspace_basis((obj_row @ null)[None, :], tol)
-    z = null @ keep_objective[:, 0] if keep_objective.shape[1] else null[:, 0]
-    z = z / np.linalg.norm(z)
+    basis = Vt[:rank]
+    if null_dim >= 2:
+        obj = rows[0] - basis.T @ (basis @ rows[0])
+        norm = float(np.linalg.norm(obj))
+        if norm > tol * max(1.0, norm):
+            basis = np.vstack([basis, obj / norm])
+    # The coordinate vector farthest from span(basis), projected onto its
+    # complement: a null vector for any basis, chosen without a full SVD.
+    j = int(np.argmin(np.einsum("rm,rm->m", basis, basis)))
+    z = -basis.T @ basis[:, j]
+    z[j] += 1.0
 
-    n, s = state.X.shape[0], state.s
-    E = z[: n * s].reshape(n, s) / _SQRT2
-    i, j = np.triu_indices(s)
-    F = np.zeros((s, s))
-    F[i, j] = z[n * s :] * np.where(i == j, 1.0, 1.0 / _SQRT2)
-    F = F + np.triu(F, 1).T
-    # With E = Q R, D = V [[0, R], [R.T, F]] V.T for V = diag(Q, I_s) with
+    Z = z.reshape(n - p + s, s)
+    E = N @ Z
+    H = np.linalg.solve(Rc, Qc.T @ (X.T @ E))
+    F = -(H + H.T)
+    scale = math.sqrt(2.0 * float(np.sum(E * E)) + float(np.sum(F * F)))
+    E, F = E / scale, F / scale
+    # With Z = Q R, D = V [[0, R], [R.T, F]] V.T for V = diag(N Q, I_s) with
     # orthonormal columns, so D's nonzero eigenvalues are those of this 2s x 2s
-    # matrix (s <= p <= n keeps Q square-or-tall).
-    _, R = np.linalg.qr(E)
-    eigvals = np.linalg.eigvalsh(np.block([[np.zeros((s, s)), R], [R.T, F]]))
+    # matrix (Z has n - p + s >= s rows).
+    M = np.zeros((2 * s, 2 * s))
+    M[:s, s:] = np.linalg.qr(Z / scale, mode="r")
+    M[s:, s:] = F
+    eigvals = np.linalg.eigvalsh(M, UPLO="U")  # reads the upper triangle only
     lam = eigvals[np.argmax(np.abs(eigvals))]
     return Direction(E=E, F=F, epsilon=-1.0 / lam, null_dim=null_dim)
 

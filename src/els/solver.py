@@ -453,11 +453,11 @@ def _effective_constraints(prob: ElsProblem) -> tuple[list, bool]:
     return kept, False
 
 
-def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, float, str, int]:
+def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, str, int]:
     """Elastic feasibility solve.
 
     Relaxes every finite bound by +/- tau and minimizes tau from X = 0.
-    Returns (feasible, X, tau, status, newton_steps).  When equality rows
+    Returns (feasible, X, status, newton_steps).  When equality rows
     are present the elastic optimum is approached asymptotically, so the
     decision also accepts the candidate obtained by projecting the iterate
     exactly onto the equality rows.
@@ -473,7 +473,7 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, floa
             rows.append(_Row(A=c.A, g=np.array([1.0]), lower=c.lower, upper=math.inf))
             tau0 = max(tau0, c.lower)
     if not rows:
-        return True, np.zeros((n, p)), 0.0, _STATUS_OPTIMAL, 0
+        return True, np.zeros((n, p)), _STATUS_OPTIMAL, 0
 
     prog = _BallProgram(n, p, 1, np.concatenate([np.zeros(n * p), [1.0]]), rows)
     z0 = np.zeros(prog.dim)
@@ -486,15 +486,15 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, floa
         X, _ = prog.unpack(z)
         if tau <= -margin:
             # Comfortably interior point of the unrelaxed constraints.
-            return True, X, tau, _STATUS_OPTIMAL
+            return True, X, _STATUS_OPTIMAL
         Xp = _project_equalities(prob, X)
         if _max_violation(prob, Xp) <= 0.9 * cfg.feas_tol and _interior_start(prob, Xp):
-            return True, Xp, max(tau, 0.0), _STATUS_OPTIMAL
+            return True, Xp, _STATUS_OPTIMAL
         stalled = not centered or spent
         if stalled or tau - 2.0 * gap > cfg.feas_tol or gap <= gap_floor:
             if tau <= cfg.feas_tol:
-                return True, X, tau, _STATUS_OPTIMAL
-            return False, X, tau, _STATUS_FAILURE if stalled else _STATUS_OPTIMAL
+                return True, X, _STATUS_OPTIMAL
+            return False, X, _STATUS_FAILURE if stalled else _STATUS_OPTIMAL
         return None
 
     res = prog.solve(z0, cfg, decide)
@@ -588,18 +588,17 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
     steps1 = 0
     if _zero_start_ok(prob):
         X0 = np.zeros((n, p))
-        phase1_gap = 0.0
     else:
-        feasible, X0, tau, status, steps1 = _phase1(prob, cfg)
+        feasible, X0, status, steps1 = _phase1(prob, cfg)
         if status != _STATUS_OPTIMAL:
             return CrSolution(X0, math.nan, _STATUS_FAILURE, math.inf, phase1_newton=steps1)
         if not feasible:
             return CrSolution(X0, math.inf, _STATUS_INFEASIBLE, math.inf, phase1_newton=steps1)
-        phase1_gap = max(tau, 0.0)
 
     if obj_norm == 0.0:
-        # Any feasible point is optimal; the phase-I point is already one.
-        return CrSolution(X0, 0.0, _STATUS_OPTIMAL, phase1_gap, phase1_newton=steps1)
+        # Any feasible point is optimal, so the value 0 is exact and the
+        # phase-I point is already an optimum.
+        return CrSolution(X0, 0.0, _STATUS_OPTIMAL, 0.0, phase1_newton=steps1)
 
     rows = [_Row(A=c.A, g=None, lower=c.lower, upper=c.upper) for c in prob.constraints]
     prog = _BallProgram(n, p, 0, prob.A0.ravel().astype(float), rows)

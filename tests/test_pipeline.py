@@ -1,13 +1,14 @@
 """Tests for report assembly."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from els.fixtures import build_fixture
-from els.pipeline import certify_report, solve_report
-from els.problem import ElsProblem
+from els.pipeline import certify_report, problem_digest, solve_report
+from els.problem import ElsProblem, LinearConstraint, parse_problem, serialize_problem
 from tests.test_solver import random_feasible_problem
 
 
@@ -66,3 +67,60 @@ def test_certify_report_shape():
     assert doc["certificate"]["global"] is True
     assert doc["certificate"]["lambda"] == pytest.approx([1.0], abs=1e-8)
     assert json.dumps(doc)
+
+
+def _digest_problem():
+    rng = np.random.default_rng(41)
+    cons = [
+        LinearConstraint(A=rng.standard_normal((2, 4)), lower=-0.5, upper=0.5),
+        LinearConstraint(A=rng.standard_normal((2, 4)), upper=1.0),
+        LinearConstraint(A=rng.standard_normal((2, 4)), lower=0.25, upper=0.25),
+    ]
+    return ElsProblem(n=4, p=2, A0=rng.standard_normal((2, 4)), constraints=cons)
+
+
+def test_problem_digest_equal_problems():
+    prob, same = _digest_problem(), _digest_problem()
+    digest = problem_digest(prob)
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert problem_digest(same) == digest
+    # -0.0 compares equal to 0.0, and so does its digest
+    signed = _digest_problem()
+    prob.A0[0, 0] = 0.0
+    signed.A0[0, 0] = -0.0
+    assert signed == prob
+    assert problem_digest(signed) == problem_digest(prob)
+
+
+def test_problem_digest_survives_file_round_trip():
+    prob = _digest_problem()
+    assert problem_digest(parse_problem(serialize_problem(prob))) == problem_digest(prob)
+    empty = ElsProblem(n=3, p=1, A0=np.zeros((1, 3)))
+    assert problem_digest(parse_problem(serialize_problem(empty))) == problem_digest(empty)
+
+
+def test_problem_digest_sees_every_entry_and_bound():
+    base = problem_digest(_digest_problem())
+    seen = {base}
+
+    def changed(edit):
+        prob = _digest_problem()
+        edit(prob)
+        digest = problem_digest(prob)
+        assert digest not in seen
+        seen.add(digest)
+
+    for i in range(2):
+        for j in range(4):
+            changed(lambda prob: prob.A0.__setitem__((i, j), prob.A0[i, j] + 1e-12))
+            for c in range(3):
+                changed(lambda prob: prob.constraints[c].A.__setitem__((i, j), 2.0))
+    for c in range(3):
+        changed(lambda prob: setattr(prob.constraints[c], "upper", math.inf))
+        changed(lambda prob: setattr(prob.constraints[c], "lower", -2.0))
+    changed(lambda prob: prob.constraints.pop())
+    changed(lambda prob: prob.constraints.append(prob.constraints[0]))
+    # the same eight zeros under another shape
+    wide = ElsProblem(n=4, p=2, A0=np.zeros((2, 4)))
+    long = ElsProblem(n=8, p=1, A0=np.zeros((1, 8)))
+    assert problem_digest(wide) != problem_digest(long)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from els.errors import ParseError, UnknownFixture, ValidationError
 from els.fixtures import build_fixture
@@ -88,6 +90,49 @@ def test_roundtrip_preserves_awkward_floats():
         constraints=[LinearConstraint(A=np.array([[math.pi, -0.3]]), lower=-1e-17, upper=2.5)],
     )
     assert parse_problem(serialize_problem(prob)) == prob
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1e-300, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def problems(draw):
+    """Problems with awkward entries, k = 0 included, and +-inf and -0.0
+    bounds."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, n))
+    k = draw(st.integers(0, 3))
+
+    def matrix():
+        return np.array(draw(st.lists(_ENTRIES, min_size=p * n, max_size=p * n))).reshape(p, n)
+
+    constraints = []
+    for _ in range(k):
+        lower = draw(st.one_of(st.just(-math.inf), _ENTRIES))
+        upper = draw(st.one_of(st.just(math.inf), _ENTRIES))
+        if lower > upper:
+            lower, upper = upper, lower
+        constraints.append(LinearConstraint(A=matrix(), lower=lower, upper=upper))
+    return ElsProblem(n=n, p=p, A0=matrix(), constraints=constraints)
+
+
+def _bits(prob):
+    """Every number of the problem as raw bytes, so -0.0 differs from 0.0."""
+    arrays = [prob.A0] + [c.A for c in prob.constraints] + list(prob.bounds())
+    return (prob.n, prob.p, prob.k, [np.asarray(a).tobytes() for a in arrays])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(prob=problems())
+def test_property_parse_serialize_is_identity(prob):
+    text = serialize_problem(prob)
+    again = parse_problem(text)
+    assert again == prob
+    assert _bits(again) == _bits(prob)
+    assert serialize_problem(again) == text
 
 
 def test_residuals_active_constraint():

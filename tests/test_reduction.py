@@ -1,5 +1,7 @@
 """Tests for the rank-reduction procedure."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from els.errors import InvalidInput
 from els.fixtures import build_fixture
 from els.lift import lift_constraints, lift_factor, lift_point
-from els.linalg import random_stiefel
+from els.linalg import nullspace_basis, random_stiefel
 from els.problem import ElsProblem
 from els.reduction import (
     InexactnessReport,
+    ReductionState,
     factor_state,
     find_direction,
     reduce_to_stiefel,
@@ -26,6 +29,52 @@ def direction_matrix(direction):
     """D = [[0, E], [E.T, F]] assembled from the factor-space direction."""
     n, s = direction.E.shape
     return np.block([[np.zeros((n, n)), direction.E], [direction.E.T, direction.F]])
+
+
+def reference_rows(state, mats):
+    """The trace-preserving system before F is eliminated.
+
+    Unknowns are orthonormal coordinates of D: sqrt(2) * E row by row, then
+    F over the orthonormal symmetric basis in upper-triangle order.  The rows
+    force the upper triangle of X.T E C.T + C E.T X + C F C.T and every
+    constraint trace <A_i.T C, E> to vanish.
+    """
+    X, C, s = state.X, state.C, state.s
+    n, p = X.shape
+    a, b = np.triu_indices(p)
+    i, j = np.triu_indices(s)
+    XC = np.einsum("ia,bj->abij", X, C)
+    block_E = (XC + XC.transpose(1, 0, 2, 3))[a, b].reshape(a.size, n * s) / math.sqrt(2.0)
+    CC = np.einsum("ai,bj->abij", C, C)
+    weight = np.where(i == j, 0.5, 1.0 / math.sqrt(2.0))
+    block_F = (CC + CC.transpose(0, 1, 3, 2))[a, b][:, i, j] * weight
+    traces = np.einsum("mpn,ps->mns", mats[1:], C).reshape(len(mats) - 1, n * s)
+    traces = np.hstack([traces / math.sqrt(2.0), np.zeros((len(mats) - 1, i.size))])
+    return np.vstack([np.hstack([block_E, block_F]), traces])
+
+
+def reference_null_dim(state, mats):
+    return nullspace_basis(reference_rows(state, mats)).shape[1]
+
+
+def random_ball_state(rng, n, p, s, k):
+    """Factor state of a ball point with rank excess s (p - s singular values
+    exactly one), and k random constraint matrices behind a random A0."""
+    U = random_stiefel(n, p, rng)
+    V = random_stiefel(p, p, rng)
+    sigma = np.ones(p)
+    sigma[:s] = rng.uniform(0.0, 0.95, s)
+    state = factor_state((U * sigma) @ V.T)
+    assert state.s == s
+    return state, rng.standard_normal((k + 1, p, n))
+
+
+def assert_valid_direction(state, mats, direction):
+    X, C, E, F = state.X, state.C, direction.E, direction.F
+    assert abs(np.linalg.norm(direction_matrix(direction)) - 1.0) <= 1e-9
+    assert np.abs(X.T @ E @ C.T + C @ E.T @ X + C @ F @ C.T).max() <= 1e-9
+    traces = np.einsum("mpn,np->m", mats[1:], E @ C.T)
+    assert np.abs(traces).max(initial=0.0) <= 1e-9
 
 
 def interior_state(prob):
@@ -265,3 +314,99 @@ def test_property_exact_regime_recovers_relaxation_optimum(seed):
     assert point.orth_residual <= 1e-6
     assert point.feasible(1e-6)
     assert abs(prob.objective(point.X) - sol.value) <= 1e-5
+
+
+def test_null_dim_matches_reference_system():
+    # the eliminated system counts the same directions as the full
+    # (E, F) system, for s < p and for s = p
+    rng = np.random.default_rng(12)
+    full = 0
+    for _ in range(72):
+        n = int(rng.integers(3, 14))
+        p = int(rng.integers(1, n + 1))
+        s = p if rng.uniform() < 0.3 else int(rng.integers(1, p + 1))
+        full += s == p
+        k = int(rng.integers(0, 2 * n + 1))
+        state, mats = random_ball_state(rng, n, p, s, k)
+        direction = find_direction(state, mats)
+        expected = reference_null_dim(state, mats)
+        assert (0 if direction is None else direction.null_dim) == expected
+        assert expected == max((n - p + s) * s - k, 0)
+        if direction is not None:
+            assert_valid_direction(state, mats, direction)
+    assert full >= 10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    data=st.data(),
+)
+def test_property_null_dim_at_least_s_squared_in_exact_regime(n, data):
+    # p <= n - k leaves at least s^2 trace-preserving directions
+    k = data.draw(st.integers(0, n - 1))
+    p = data.draw(st.integers(1, n - k))
+    s = data.draw(st.integers(1, p))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    state, mats = random_ball_state(np.random.default_rng(seed), n, p, s, k)
+    direction = find_direction(state, mats)
+    assert direction is not None
+    assert direction.null_dim >= s * s
+    assert direction.null_dim == (n - p + s) * s - k
+    assert_valid_direction(state, mats, direction)
+
+
+def test_find_direction_square_full_excess():
+    # n = p and s = p: X Q_perp is empty, so E ranges over all n x n
+    # matrices with <A_i.T C, E> = 0
+    rng = np.random.default_rng(13)
+    for n, k in ((1, 0), (3, 0), (3, 2), (4, 9)):
+        state, mats = random_ball_state(rng, n, n, n, k)
+        direction = find_direction(state, mats)
+        assert direction.null_dim == n * n - k == reference_null_dim(state, mats)
+        assert_valid_direction(state, mats, direction)
+    state, mats = random_ball_state(rng, 2, 2, 2, 4)
+    assert find_direction(state, mats) is None
+    assert reference_null_dim(state, mats) == 0
+
+
+def test_find_direction_without_constraints():
+    # k = 0, and k constraints whose matrices are all zero, leave every
+    # E = N Z: (n - p + s) s directions
+    rng = np.random.default_rng(14)
+    for n, p, s in ((5, 3, 1), (5, 3, 3), (4, 4, 2), (6, 1, 1)):
+        state, mats = random_ball_state(rng, n, p, s, 0)
+        zero_rows = np.concatenate([mats, np.zeros((3, p, n))])
+        for stack in (mats, zero_rows):
+            direction = find_direction(state, stack)
+            assert direction.null_dim == (n - p + s) * s == reference_null_dim(state, stack)
+            assert_valid_direction(state, stack, direction)
+    # a zero objective row as well
+    state, _ = random_ball_state(rng, 5, 3, 2, 0)
+    direction = find_direction(state, np.zeros((2, 3, 5)))
+    assert direction.null_dim == 8
+    assert_valid_direction(state, np.zeros((2, 3, 5)), direction)
+
+
+def test_find_direction_prefers_objective_neutral_direction():
+    # with two or more directions the chosen one also keeps tr(A0 X)
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        state, mats = random_ball_state(rng, 7, 3, 2, 3)
+        direction = find_direction(state, mats)
+        assert direction.null_dim >= 2
+        assert abs(np.sum(mats[0].T * (direction.E @ state.C.T))) <= 1e-12
+
+
+def test_find_direction_with_any_factor():
+    # any C with C C.T = I - X.T X serves, not only the eigenvector factor:
+    # rotated columns make R_c of C = Q_c R_c a full triangle
+    rng = np.random.default_rng(16)
+    for s in (1, 2, 4):
+        state, mats = random_ball_state(rng, 9, 4, s, 3)
+        rotation = random_stiefel(s, s, rng)
+        rotated = ReductionState(X=state.X, C=state.C @ rotation, s=s)
+        assert np.allclose(rotated.C @ rotated.C.T, np.eye(4) - state.X.T @ state.X)
+        direction = find_direction(rotated, mats)
+        assert direction.null_dim == (9 - 4 + s) * s - 3 == reference_null_dim(rotated, mats)
+        assert_valid_direction(rotated, mats, direction)

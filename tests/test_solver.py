@@ -389,6 +389,26 @@ def test_solve_ls_svd_zero_objective():
     assert point.orth_residual <= 1e-12
 
 
+def test_solve_cr_zero_objective_gap_is_exact():
+    # A0 = 0: every feasible point is optimal, so the value 0 carries no
+    # gap, also when equality rows send the solve through phase I
+    rng = np.random.default_rng(31)
+    n, p = 8, 3
+    Xbar = random_stiefel(n, p, rng)
+    cons = []
+    for _ in range(3):
+        A = rng.standard_normal((p, n))
+        v = float(np.trace(A @ Xbar))
+        cons.append(LinearConstraint(A=A, lower=v, upper=v))
+    prob = ElsProblem(n=n, p=p, A0=np.zeros((p, n)), constraints=cons)
+    sol = solve_cr(prob, SolverConfig(tol=1e-10))
+    assert sol.status == "optimal"
+    assert sol.phase1_newton > 0
+    assert sol.value == 0.0
+    assert sol.gap_estimate == 0.0
+    assert np.abs(prob.constraint_values(sol.X) - [c.lower for c in cons]).max() <= 1e-6
+
+
 def test_solve_cr_matches_svd_on_unconstrained():
     rng = np.random.default_rng(1)
     for _ in range(20):
