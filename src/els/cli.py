@@ -163,15 +163,17 @@ def _cmd_certify(args) -> int:
 def _cmd_oracle(args) -> int:
     prob = parse_problem(_read(args.problem))
     cfg = _config(args)
-    try:
-        value, point, diagnostics = oracle_solve(prob, restarts=args.restarts, seed=cfg.seed)
-    except NoFeasiblePoint as exc:
-        doc = {"schema": "els-oracle/1", "value": None, "error": str(exc)}
-        _emit({**doc, **exc.diagnostics.as_dict()}, args.out)
-        return EXIT_INFEASIBLE
     doc = {
         "schema": "els-oracle/1",
         "problem": {"n": prob.n, "p": prob.p, "k": prob.k, "digest": problem_digest(prob)},
+    }
+    try:
+        value, point, diagnostics = oracle_solve(prob, restarts=args.restarts, seed=cfg.seed)
+    except NoFeasiblePoint as exc:
+        _emit({**doc, "value": None, "error": str(exc), **exc.diagnostics.as_dict()}, args.out)
+        return EXIT_INFEASIBLE
+    doc = {
+        **doc,
         "value": value,
         "X": point.X.tolist(),
         "max_residual": point.max_residual,

@@ -7,7 +7,10 @@ tiny dimensions (spheres and frames in R^2/R^3, where the interesting
 relaxation-gap instances live) an angular grid is swept as well and its
 best points are polished.  The restarts descend together as one stack, so
 each backtracking round costs one batched SVD however many restarts are
-still moving.  Everything is deterministic given (restarts, seed).
+still moving.  The descended points are polished as stacks grouped by
+active set: one batched SVD per Newton step of each group, one
+pseudo-inverse of the active rows per group for the restores.  Everything
+is deterministic given (restarts, seed).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasiblePoint
+from .errors import InvalidInput, NoFeasiblePoint
 from .linalg import random_stiefel, symmetric_basis
 from .minimax import piece_subproblem
 from .problem import ElsProblem, MinimaxProblem, StiefelPoint, bound_violations, residuals
@@ -99,147 +102,196 @@ def _penalty_descent(mats, lower, upper, X: np.ndarray, rho: float, max_iter: in
     return X
 
 
-def _detect_active(prob: ElsProblem, X: np.ndarray, tol: float) -> list[tuple[int, float]]:
-    """(index, bound) pairs for constraints judged active at X."""
-    act = []
-    for i, (c, v) in enumerate(zip(prob.constraints, prob.constraint_values(X))):
-        if c.is_equality:
-            act.append((i, c.lower))
-        elif math.isfinite(c.upper) and abs(v - c.upper) <= tol * (1.0 + abs(c.upper)):
-            act.append((i, c.upper))
-        elif math.isfinite(c.lower) and abs(v - c.lower) <= tol * (1.0 + abs(c.lower)):
-            act.append((i, c.lower))
-    return act
+def _lstsq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions, (q, N, K), of the systems
+    ``A[i] @ Z = B[i]`` for the (q, M, N) stack ``A`` and (q, M, K) ``B``.
+
+    One batched SVD; singular values at or below ``eps * max(M, N) *
+    sigma_max`` count as zero, the default cutoff of ``np.linalg.lstsq``.
+    """
+    q, M, N = A.shape
+    if not (q and M and N):
+        return np.zeros((q, N, B.shape[2]))
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(M, N) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return np.swapaxes(Vt, 1, 2) @ (inv[:, :, None] * (np.swapaxes(U, 1, 2) @ B))
+
+
+def _vec(Y: np.ndarray) -> np.ndarray:
+    """Column-major vectorization of every (n, p) matrix of a stack."""
+    return np.swapaxes(Y, -1, -2).reshape(*Y.shape[:-2], -1)
+
+
+def _active_sides(values, lower, upper, tol: float) -> np.ndarray:
+    """Which bound of each constraint is judged active at each point.
+
+    ``values`` is the (R, k) array of constraint values.  Returns (R, k)
+    codes: 0 inactive, 1 held at the lower bound (equalities always),
+    2 held at the upper bound, which is tried before the lower one.
+    """
+
+    def near(bound):
+        return np.isfinite(bound) & (np.abs(values - bound) <= tol * (1.0 + np.abs(bound)))
+
+    return np.where(lower == upper, 1, np.where(near(upper), 2, np.where(near(lower), 1, 0)))
 
 
 def _kkt_polish(
     prob: ElsProblem,
     X: np.ndarray,
-    act: list[tuple[int, float]],
+    act: np.ndarray,
+    rhs: np.ndarray,
     max_iter: int = 40,
-) -> np.ndarray | None:
-    """Newton solve of the active-set stationarity system.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton solve of the active-set stationarity system at every point of
+    the (q, n, p) stack ``X``, all with constraints ``act`` held at ``rhs``.
 
     Unknowns are (X, lambda, Lambda); equations are stationarity, the active
-    constraints at their bounds, and orthonormality.  Least-squares steps
-    keep the iteration defined when the constraint gradients are dependent.
-    Returns the polished X or None when the iteration does not converge.
+    constraints at their bounds, and orthonormality.  Minimum-norm
+    least-squares steps keep the iteration defined when the constraint
+    gradients are dependent.  Each point keeps its own line search and
+    stopping rule.  Returns the polished stack and a mask of the points
+    whose iteration converged.
     """
-    n, p = prob.n, prob.p
-    basis = symmetric_basis(p)
-    act_mats = [prob.constraints[i].A for i, _ in act]
-    act_rhs = np.array([b for _, b in act])
-    n_act, n_sym = len(act), len(basis)
-
-    x = X.ravel(order="F").copy()
-    cols = [A.T.ravel(order="F") for A in act_mats] + [(X @ S).ravel(order="F") for S in basis]
-    M = np.array(cols).T if cols else np.zeros((n * p, 0))
-    ml, *_ = np.linalg.lstsq(M, -prob.A0.T.ravel(order="F"), rcond=None)
-    lam, lcoef = ml[:n_act], ml[n_act:]
-
-    def system(x, lam, lcoef):
-        Xm = x.reshape(n, p, order="F")
-        Lam = sum(c * S for c, S in zip(lcoef, basis)) if n_sym else np.zeros((p, p))
-        stat = prob.A0.T + Xm @ Lam
-        for l, A in zip(lam, act_mats):
-            stat = stat + l * A.T
-        F1 = stat.ravel(order="F")
-        F2 = np.array([float(np.trace(A @ Xm)) for A in act_mats]) - act_rhs
-        gram = Xm.T @ Xm - np.eye(p)
-        F3 = np.array([gram[i, j] for i in range(p) for j in range(i, p)])
-        return np.concatenate([F1, F2, F3]), Xm, Lam
-
-    F, Xm, Lam = system(x, lam, lcoef)
-    fnorm = np.linalg.norm(F)
+    q, n, p = X.shape
+    npp = n * p
+    A = prob.constraint_matrices()[act]
+    a = len(act)
+    basis = np.array(symmetric_basis(p))
+    m = len(basis)
+    iu, ju = np.triu_indices(p)  # the order of symmetric_basis
+    rows = A.reshape(a, npp)  # vec(A_i.T), the gradient of tr(A_i X)
     scale = 1.0 + float(np.linalg.norm(prob.A0))
+    D = npp + a + m
+
+    def sym_cols(Xs):
+        return np.swapaxes(_vec(Xs[:, None] @ basis), 1, 2)  # vec(X S_t) as columns
+
+    def system(Xs, lam, lcoef):
+        Lam = np.einsum("qt,tij->qij", lcoef, basis)
+        stat = prob.A0.T + Xs @ Lam + np.einsum("qa,aji->qij", lam, A)
+        cons = np.trace(A @ Xs[:, None], axis1=2, axis2=3) - rhs
+        gram = np.swapaxes(Xs, 1, 2) @ Xs - np.eye(p)
+        F = np.concatenate([_vec(stat), cons, gram[:, iu, ju]], axis=1)
+        return F, Lam
+
+    def jacobian(Xs, Lam):
+        J = np.zeros((len(Xs), D, D))
+        kron = Lam[:, :, None, :, None] * np.eye(n)[:, None, :]  # kron(Lam, I_n)
+        J[:, :npp, :npp] = kron.reshape(-1, npp, npp)
+        J[:, :npp, npp : npp + a] = rows.T
+        J[:, :npp, npp + a :] = sym_cols(Xs)
+        J[:, npp : npp + a, :npp] = rows
+        # d gram[i, j] = X[:, j] in column i plus X[:, i] in column j
+        Xt, t = np.swapaxes(Xs, 1, 2), np.arange(m)
+        gram = np.zeros((len(Xs), m, p, n))
+        gram[:, t, iu] = Xt[:, ju]
+        gram[:, t, ju] += Xt[:, iu]
+        J[:, npp + a :, :npp] = gram.reshape(-1, m, npp)
+        return J
+
+    X = X.copy()
+    cols = np.concatenate([np.broadcast_to(rows.T, (q, npp, a)), sym_cols(X)], axis=2)
+    ml = _lstsq(cols, np.broadcast_to(-prob.A0.reshape(npp, 1), (q, npp, 1)))[:, :, 0]
+    lam, lcoef = ml[:, :a], ml[:, a:]
+    F, Lam = system(X, lam, lcoef)
+    fnorm = np.linalg.norm(F, axis=1)
+    ok = np.ones(q, dtype=bool)
     for _ in range(max_iter):
-        if fnorm <= 1e-13 * scale:
+        live = np.flatnonzero(ok & (fnorm > 1e-13 * scale))
+        if not live.size:
             break
-        J1x = np.kron(Lam, np.eye(n))
-        J1l = np.array([A.T.ravel(order="F") for A in act_mats]).T if n_act else np.zeros((n * p, 0))
-        J1s = np.array([(Xm @ S).ravel(order="F") for S in basis]).T
-        J2x = np.array([A.T.ravel(order="F") for A in act_mats]) if n_act else np.zeros((0, n * p))
-        rows = []
-        for i in range(p):
-            for j in range(i, p):
-                G = np.zeros((n, p))
-                if i == j:
-                    G[:, i] = 2.0 * Xm[:, i]
-                else:
-                    G[:, i] = Xm[:, j]
-                    G[:, j] = Xm[:, i]
-                rows.append(G.ravel(order="F"))
-        J3x = np.array(rows)
-        nz = np.zeros
-        J = np.block(
-            [
-                [J1x, J1l, J1s],
-                [J2x, nz((n_act, n_act)), nz((n_act, n_sym))],
-                [J3x, nz((len(rows), n_act)), nz((len(rows), n_sym))],
-            ]
-        )
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        step = _lstsq(jacobian(X[live], Lam[live]), -F[live, :, None])[:, :, 0]
+        dX = np.swapaxes(step[:, :npp].reshape(-1, p, n), 1, 2)
+        trying = np.arange(live.size)  # positions in live still halving
         s = 1.0
-        improved = False
         for _ in range(30):
-            xs = x + s * step[: n * p]
-            ls = lam + s * step[n * p : n * p + n_act]
-            cs = lcoef + s * step[n * p + n_act :]
-            F_try, Xm_try, Lam_try = system(xs, ls, cs)
-            fn_try = np.linalg.norm(F_try)
-            if fn_try <= (1.0 - 0.3 * s) * fnorm or fn_try <= 1e-13 * scale:
-                x, lam, lcoef = xs, ls, cs
-                F, Xm, Lam, fnorm = F_try, Xm_try, Lam_try, fn_try
-                improved = True
+            idx = live[trying]
+            X_try = X[idx] + s * dX[trying]
+            lam_try = lam[idx] + s * step[trying, npp : npp + a]
+            lcoef_try = lcoef[idx] + s * step[trying, npp + a :]
+            F_try, Lam_try = system(X_try, lam_try, lcoef_try)
+            fn_try = np.linalg.norm(F_try, axis=1)
+            acc = (fn_try <= (1.0 - 0.3 * s) * fnorm[idx]) | (fn_try <= 1e-13 * scale)
+            won = idx[acc]
+            X[won], lam[won], lcoef[won] = X_try[acc], lam_try[acc], lcoef_try[acc]
+            F[won], Lam[won], fnorm[won] = F_try[acc], Lam_try[acc], fn_try[acc]
+            trying = trying[~acc]
+            if not trying.size:
                 break
             s *= 0.5
-        if not improved:
-            return None
-    if fnorm > 1e-11 * scale:
-        return None
-    return x.reshape(n, p, order="F")
+        ok[live[trying]] = False  # no step accepted: that iteration fails
+    return X, ok & (fnorm <= 1e-11 * scale)
 
 
 def _restore_feasibility(
     prob: ElsProblem,
     X: np.ndarray,
-    act: list[tuple[int, float]],
+    act: np.ndarray,
+    rhs: np.ndarray,
     max_iter: int = 300,
 ) -> np.ndarray:
-    """Alternating projections onto the active affine rows and the manifold."""
-    if not act:
+    """Alternating projections onto the active affine rows and the manifold,
+    for every point of the (q, n, p) stack ``X``; each point stops on its own."""
+    if not len(act):
         return _polar(X)
-    E = np.array([prob.constraints[i].A.T.ravel(order="F") for i, _ in act])
-    b = np.array([v for _, v in act])
+    q, n, p = X.shape
+    A = prob.constraint_matrices()[act]
+    # the min-norm correction of the row residual r is sum_i r_i C_i, with
+    # C_i column i of the rows' pseudo-inverse as an (n, p) matrix
+    pinv = _lstsq(A.reshape(1, len(act), n * p), np.eye(len(act))[None])[0]
+    C = np.swapaxes(pinv.T.reshape(-1, p, n), 1, 2)
+    X = X.copy()
+    live = np.arange(q)
+    r = rhs - np.trace(A @ X[:, None], axis1=2, axis2=3)
     for _ in range(max_iter):
-        x = X.ravel(order="F")
-        corr, *_ = np.linalg.lstsq(E, b - E @ x, rcond=None)
-        X = _polar((x + corr).reshape(prob.n, prob.p, order="F"))
-        if np.abs(E @ X.ravel(order="F") - b).max() <= 1e-13:
+        if not live.size:
             break
+        Xl = _polar(X[live] + np.einsum("qa,aij->qij", r, C))
+        X[live] = Xl
+        r = rhs - np.trace(A @ Xl[:, None], axis1=2, axis2=3)
+        moving = np.abs(r).max(axis=1) > 1e-13
+        live, r = live[moving], r[moving]
     return X
 
 
-def _polish(prob: ElsProblem, X: np.ndarray) -> StiefelPoint | None:
-    """Polish one descended point; the best feasible candidate, or None."""
-    candidates = []
+def _polish(prob: ElsProblem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polish the (R, n, p) stack of descended points, as stacks grouped by
+    active set.
 
-    def consider(Xc):
-        if Xc is None:
-            return
-        point = residuals(prob, Xc)
-        if point.feasible(_FEAS_TOL):
-            candidates.append(point)
+    The candidates of a point are, in order, the KKT polish, the restore
+    onto its active rows and, when an inequality is active, the restore onto
+    the equality rows alone.  Returns ``(best, value)``: each point's first
+    feasible candidate of least objective and that objective, ``inf`` where
+    no candidate is feasible.
+    """
+    mats = prob.trace_matrices()
+    lower, upper = prob.bounds()
+    best = X.copy()
+    value = np.full(len(X), math.inf)
 
-    act = _detect_active(prob, X, tol=3e-3)
-    consider(_kkt_polish(prob, X, act))
-    consider(_restore_feasibility(prob, X, act))
-    eq_only = [(i, b) for i, b in act if prob.constraints[i].is_equality]
-    if len(eq_only) != len(act):
-        consider(_restore_feasibility(prob, X, eq_only))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda pt: prob.objective(pt.X))
+    def consider(idx, Xc, ok=True):
+        vals = np.trace(mats @ Xc[:, None], axis1=2, axis2=3)
+        orth = np.linalg.norm(np.swapaxes(Xc, 1, 2) @ Xc - np.eye(prob.p), axis=(1, 2))
+        lin = bound_violations(vals[:, 1:], lower, upper)
+        feasible = ok & (orth <= _FEAS_TOL) & np.all(lin <= _FEAS_TOL, axis=1)
+        better = feasible & (vals[:, 0] < value[idx])
+        best[idx[better]], value[idx[better]] = Xc[better], vals[better, 0]
+
+    sides = _active_sides(np.trace(mats[1:] @ X[:, None], axis1=2, axis2=3), lower, upper, tol=3e-3)
+    keys, group = np.unique(sides, axis=0, return_inverse=True)
+    for g, key in enumerate(keys):
+        idx = np.flatnonzero(group == g)
+        act = np.flatnonzero(key)
+        rhs = np.where(key[act] == 2, upper[act], lower[act])
+        consider(idx, *_kkt_polish(prob, X[idx], act, rhs))
+        consider(idx, _restore_feasibility(prob, X[idx], act, rhs))
+    equality = lower == upper
+    idx = np.flatnonzero(np.any(sides[:, ~equality] != 0, axis=1))
+    eq = np.flatnonzero(equality)
+    consider(idx, _restore_feasibility(prob, X[idx], eq, lower[eq]))
+    return best, value
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +436,14 @@ def oracle_solve(
 
     The random restarts descend together as one (R, n, p) stack through the
     penalty schedule, the grid starts as a second stack through its last two
-    stages; each descended point is then polished on its own.  Deterministic
-    given (restarts, seed); ties broken by lowest restart index, then grid
-    index.  Raises NoFeasiblePoint, carrying the diagnostics, when no
-    feasible candidate is found.
+    stages; all descended points are then polished together, as stacks
+    grouped by active set.  Deterministic given (restarts, seed); ties
+    broken by lowest restart index, then grid index.  Raises InvalidInput
+    for negative ``restarts`` and NoFeasiblePoint, carrying the diagnostics,
+    when no feasible candidate is found.
     """
+    if restarts < 0:
+        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
     n, p = prob.n, prob.p
     mats = prob.trace_matrices()
     lower, upper = prob.bounds()
@@ -396,29 +451,22 @@ def oracle_solve(
         [random_stiefel(n, p, np.random.default_rng([seed, r])) for r in range(restarts)]
     ).reshape(-1, n, p)
     grid = _grid_starts(prob)
+    for rho in _RHO_SCHEDULE:
+        starts = _penalty_descent(mats, lower, upper, starts, rho)
+    for rho in (1e3, 1e4):
+        grid = _penalty_descent(mats, lower, upper, grid, rho)
 
-    best: StiefelPoint | None = None
-    best_value = math.inf
-    winner = None
-    feasible = 0
-    for kind, X, schedule in (("restart", starts, _RHO_SCHEDULE), ("grid", grid, (1e3, 1e4))):
-        for rho in schedule:
-            X = _penalty_descent(mats, lower, upper, X, rho)
-        for i, Xi in enumerate(X):
-            point = _polish(prob, Xi)
-            if point is None:
-                continue
-            feasible += 1
-            value = prob.objective(point.X)
-            if value < best_value:
-                best, best_value, winner = point, value, (kind, i)
-
-    diagnostics = OracleDiagnostics(len(starts) + len(grid), feasible, winner)
-    if best is None:
+    best, values = _polish(prob, np.concatenate([starts, grid]))
+    feasible = int(np.count_nonzero(np.isfinite(values)))
+    if not feasible:
         raise NoFeasiblePoint(
-            f"no feasible point found in {restarts} restarts (inconclusive)", diagnostics
+            f"no feasible point found in {restarts} restarts (inconclusive)",
+            OracleDiagnostics(len(values), 0, None),
         )
-    return best_value, best, diagnostics
+    w = int(np.argmin(values))  # the first of the least values
+    winner = ("restart", w) if w < len(starts) else ("grid", w - len(starts))
+    diagnostics = OracleDiagnostics(len(values), feasible, winner)
+    return float(values[w]), residuals(prob, best[w]), diagnostics
 
 
 def assignment_oracle(A0) -> tuple[float, tuple[int, ...]]:
@@ -444,8 +492,10 @@ def minimax_oracle(mm: MinimaxProblem, restarts: int = 40, seed: int = 0) -> flo
     """Ground-truth minimax value via the branch decomposition.
 
     Each branch is a plain instance handled by ``oracle_solve``; infeasible
-    branches are skipped.
+    branches are skipped.  Raises InvalidInput for negative ``restarts``.
     """
+    if restarts < 0:
+        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
     best = math.inf
     found = False
     for q in range(mm.m):

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .certificate import certify_global
-from .errors import NoFeasiblePoint
+from .errors import InvalidInput, NoFeasiblePoint
 from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .oracle import oracle_solve
@@ -81,7 +81,13 @@ def solve_report(
     restarts: int = 40,
     seed: int = 0,
 ) -> dict:
-    """Run the full pipeline and assemble the report document."""
+    """Run the full pipeline and assemble the report document.
+
+    Raises InvalidInput, before any solve, for negative ``restarts`` when
+    the oracle is to run.
+    """
+    if with_oracle and restarts < 0:
+        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
     cfg = cfg or SolverConfig(seed=seed)
     solve_cfg = replace(cfg, tol=min(cfg.tol, _PIPELINE_TOL))
     timings: dict[str, float] = {}

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from els.fixtures import build_fixture
-from els.problem import serialize_minimax_problem, serialize_problem
+from els.pipeline import problem_digest
+from els.problem import parse_problem, serialize_minimax_problem, serialize_problem
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -155,6 +156,33 @@ def test_oracle_command_without_feasible_point(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["value"] is None and "inconclusive" in doc["error"]
     assert doc["starts"] >= 4 and doc["feasible_starts"] == 0 and doc["winner"] is None
+    digest = problem_digest(parse_problem(prob.read_text()))
+    assert doc["problem"] == {"n": 2, "p": 1, "k": 1, "digest": digest}
+
+
+def test_oracle_command_with_no_starts_reports_the_problem():
+    # no restarts, and (4, 2) has no angular grid: nothing to polish
+    res = run_cli("oracle", str(FIXDIR / "example-5.2.json"), "--restarts", "0")
+    assert res.returncode == 1
+    doc = json.loads(res.stdout)
+    assert doc["problem"]["n"] == 4 and doc["problem"]["p"] == 2 and doc["problem"]["k"] == 1
+    assert len(doc["problem"]["digest"]) == 16
+    assert doc["value"] is None and doc["starts"] == 0 and doc["winner"] is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("oracle", str(FIXDIR / "example-4.2.json"), "--restarts", "-3"),
+        ("solve", str(FIXDIR / "example-4.2.json"), "--with-oracle", "--restarts", "-3"),
+    ],
+    ids=["oracle", "solve"],
+)
+def test_negative_restarts_are_a_usage_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("els: error:") and "restarts" in res.stderr
 
 
 def test_range_command(tmp_path):

@@ -8,9 +8,16 @@ import pytest
 from els import oracle
 from els.errors import NoFeasiblePoint
 from els.fixtures import build_fixture
-from els.linalg import random_stiefel
+from els.linalg import random_stiefel, symmetric_basis
 from els.oracle import assignment_oracle, minimax_oracle, oracle_solve
-from els.problem import ElsProblem, LinearConstraint, MinimaxPiece, MinimaxProblem
+from els.problem import (
+    ElsProblem,
+    LinearConstraint,
+    MinimaxPiece,
+    MinimaxProblem,
+    StiefelPoint,
+    residuals,
+)
 from els.solver import solve_cr, solve_ls_svd
 
 
@@ -217,6 +224,271 @@ def test_empty_descent_stack():
     empty = np.zeros((0, prob.n, prob.p))
     out = oracle._penalty_descent(prob.trace_matrices(), *prob.bounds(), empty, 10.0)
     assert out.shape == empty.shape
+
+
+# ---------------------------------------------------------------------------
+# The stacked polish against the per-point reference.
+# ---------------------------------------------------------------------------
+
+# The per-point polish the stacked one replaced, kept unchanged as the
+# reference.  lstsq takes no stacks, so the two agree to rounding only.
+_FEAS_TOL = oracle._FEAS_TOL
+_polar = oracle._polar
+
+
+def _detect_active(prob: ElsProblem, X: np.ndarray, tol: float) -> list[tuple[int, float]]:
+    """(index, bound) pairs for constraints judged active at X."""
+    act = []
+    for i, (c, v) in enumerate(zip(prob.constraints, prob.constraint_values(X))):
+        if c.is_equality:
+            act.append((i, c.lower))
+        elif math.isfinite(c.upper) and abs(v - c.upper) <= tol * (1.0 + abs(c.upper)):
+            act.append((i, c.upper))
+        elif math.isfinite(c.lower) and abs(v - c.lower) <= tol * (1.0 + abs(c.lower)):
+            act.append((i, c.lower))
+    return act
+
+
+def _kkt_polish(
+    prob: ElsProblem,
+    X: np.ndarray,
+    act: list[tuple[int, float]],
+    max_iter: int = 40,
+) -> np.ndarray | None:
+    """Newton solve of the active-set stationarity system.
+
+    Unknowns are (X, lambda, Lambda); equations are stationarity, the active
+    constraints at their bounds, and orthonormality.  Least-squares steps
+    keep the iteration defined when the constraint gradients are dependent.
+    Returns the polished X or None when the iteration does not converge.
+    """
+    n, p = prob.n, prob.p
+    basis = symmetric_basis(p)
+    act_mats = [prob.constraints[i].A for i, _ in act]
+    act_rhs = np.array([b for _, b in act])
+    n_act, n_sym = len(act), len(basis)
+
+    x = X.ravel(order="F").copy()
+    cols = [A.T.ravel(order="F") for A in act_mats] + [(X @ S).ravel(order="F") for S in basis]
+    M = np.array(cols).T if cols else np.zeros((n * p, 0))
+    ml, *_ = np.linalg.lstsq(M, -prob.A0.T.ravel(order="F"), rcond=None)
+    lam, lcoef = ml[:n_act], ml[n_act:]
+
+    def system(x, lam, lcoef):
+        Xm = x.reshape(n, p, order="F")
+        Lam = sum(c * S for c, S in zip(lcoef, basis)) if n_sym else np.zeros((p, p))
+        stat = prob.A0.T + Xm @ Lam
+        for l, A in zip(lam, act_mats):
+            stat = stat + l * A.T
+        F1 = stat.ravel(order="F")
+        F2 = np.array([float(np.trace(A @ Xm)) for A in act_mats]) - act_rhs
+        gram = Xm.T @ Xm - np.eye(p)
+        F3 = np.array([gram[i, j] for i in range(p) for j in range(i, p)])
+        return np.concatenate([F1, F2, F3]), Xm, Lam
+
+    F, Xm, Lam = system(x, lam, lcoef)
+    fnorm = np.linalg.norm(F)
+    scale = 1.0 + float(np.linalg.norm(prob.A0))
+    for _ in range(max_iter):
+        if fnorm <= 1e-13 * scale:
+            break
+        J1x = np.kron(Lam, np.eye(n))
+        J1l = np.array([A.T.ravel(order="F") for A in act_mats]).T if n_act else np.zeros((n * p, 0))
+        J1s = np.array([(Xm @ S).ravel(order="F") for S in basis]).T
+        J2x = np.array([A.T.ravel(order="F") for A in act_mats]) if n_act else np.zeros((0, n * p))
+        rows = []
+        for i in range(p):
+            for j in range(i, p):
+                G = np.zeros((n, p))
+                if i == j:
+                    G[:, i] = 2.0 * Xm[:, i]
+                else:
+                    G[:, i] = Xm[:, j]
+                    G[:, j] = Xm[:, i]
+                rows.append(G.ravel(order="F"))
+        J3x = np.array(rows)
+        nz = np.zeros
+        J = np.block(
+            [
+                [J1x, J1l, J1s],
+                [J2x, nz((n_act, n_act)), nz((n_act, n_sym))],
+                [J3x, nz((len(rows), n_act)), nz((len(rows), n_sym))],
+            ]
+        )
+        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        s = 1.0
+        improved = False
+        for _ in range(30):
+            xs = x + s * step[: n * p]
+            ls = lam + s * step[n * p : n * p + n_act]
+            cs = lcoef + s * step[n * p + n_act :]
+            F_try, Xm_try, Lam_try = system(xs, ls, cs)
+            fn_try = np.linalg.norm(F_try)
+            if fn_try <= (1.0 - 0.3 * s) * fnorm or fn_try <= 1e-13 * scale:
+                x, lam, lcoef = xs, ls, cs
+                F, Xm, Lam, fnorm = F_try, Xm_try, Lam_try, fn_try
+                improved = True
+                break
+            s *= 0.5
+        if not improved:
+            return None
+    if fnorm > 1e-11 * scale:
+        return None
+    return x.reshape(n, p, order="F")
+
+
+def _restore_feasibility(
+    prob: ElsProblem,
+    X: np.ndarray,
+    act: list[tuple[int, float]],
+    max_iter: int = 300,
+) -> np.ndarray:
+    """Alternating projections onto the active affine rows and the manifold."""
+    if not act:
+        return _polar(X)
+    E = np.array([prob.constraints[i].A.T.ravel(order="F") for i, _ in act])
+    b = np.array([v for _, v in act])
+    for _ in range(max_iter):
+        x = X.ravel(order="F")
+        corr, *_ = np.linalg.lstsq(E, b - E @ x, rcond=None)
+        X = _polar((x + corr).reshape(prob.n, prob.p, order="F"))
+        if np.abs(E @ X.ravel(order="F") - b).max() <= 1e-13:
+            break
+    return X
+
+
+def _polish(prob: ElsProblem, X: np.ndarray) -> StiefelPoint | None:
+    """Polish one descended point; the best feasible candidate, or None."""
+    candidates = []
+
+    def consider(Xc):
+        if Xc is None:
+            return
+        point = residuals(prob, Xc)
+        if point.feasible(_FEAS_TOL):
+            candidates.append(point)
+
+    act = _detect_active(prob, X, tol=3e-3)
+    consider(_kkt_polish(prob, X, act))
+    consider(_restore_feasibility(prob, X, act))
+    eq_only = [(i, b) for i, b in act if prob.constraints[i].is_equality]
+    if len(eq_only) != len(act):
+        consider(_restore_feasibility(prob, X, eq_only))
+    if not candidates:
+        return None
+    return min(candidates, key=lambda pt: prob.objective(pt.X))
+
+
+
+
+def _descended(prob, restarts, seed):
+    """The restart and grid points oracle_solve hands to the polish."""
+    mats = prob.trace_matrices()
+    lower, upper = prob.bounds()
+    X = np.array(
+        [random_stiefel(prob.n, prob.p, np.random.default_rng([seed, r])) for r in range(restarts)]
+    ).reshape(-1, prob.n, prob.p)
+    grid = oracle._grid_starts(prob)
+    for rho in oracle._RHO_SCHEDULE:
+        X = oracle._penalty_descent(mats, lower, upper, X, rho)
+    for rho in (1e3, 1e4):
+        grid = oracle._penalty_descent(mats, lower, upper, grid, rho)
+    return np.concatenate([X, grid])
+
+
+def _assert_polish_agrees(prob, X):
+    best, values = oracle._polish(prob, X)
+    assert best.shape == X.shape and values.shape == (len(X),)
+    for i, Xi in enumerate(X):
+        ref = _polish(prob, Xi)
+        if ref is None:
+            assert values[i] == math.inf, f"point {i}"
+            continue
+        v = prob.objective(ref.X)
+        assert abs(values[i] - v) <= 1e-12 * (1.0 + abs(v)), f"point {i}: {values[i]} vs {v}"
+        assert values[i] == prob.objective(best[i])
+        assert residuals(prob, best[i]).feasible(oracle._FEAS_TOL)
+
+
+_FIXTURES = ("example-4.1", "example-4.2", "example-4.3", "example-5.1", "example-5.2")
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_stacked_polish_matches_reference_on_fixtures(name):
+    prob = build_fixture(name)
+    _assert_polish_agrees(prob, _descended(prob, restarts=8, seed=0))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_stacked_polish_matches_reference_on_criterion5_instances(block):
+    from tests.test_solver import random_feasible_problem
+
+    rng = np.random.default_rng([505, block])
+    for i in range(5):
+        prob, _ = random_feasible_problem(rng, n_max=6, k_max=3)
+        _assert_polish_agrees(prob, _descended(prob, restarts=6, seed=i))
+
+
+def test_empty_polish_stack():
+    prob = build_fixture("example-4.2")
+    best, values = oracle._polish(prob, np.zeros((0, prob.n, prob.p)))
+    assert best.shape == (0, prob.n, prob.p) and values.shape == (0,)
+
+
+def _lstsq_cases():
+    rng = np.random.default_rng(21)
+
+    def low_rank(q, m, n, r):
+        return rng.standard_normal((q, m, r)) @ rng.standard_normal((q, r, n))
+
+    tall = rng.standard_normal((3, 7, 4))
+    tall[1, :, 2] = tall[1, :, 0]  # repeated column
+    return [
+        ("rank-deficient square", low_rank(4, 6, 6, 3)),
+        ("rank-deficient wide", low_rank(3, 3, 8, 2)),
+        ("rank-deficient tall", tall),
+        ("zero matrices", np.zeros((2, 4, 3))),
+        ("full rank", rng.standard_normal((5, 5, 5))),
+        ("zero columns", np.zeros((3, 4, 0))),
+        ("zero rows", np.zeros((3, 0, 4))),
+        ("empty stack", np.zeros((0, 4, 3))),
+    ]
+
+
+@pytest.mark.parametrize("name,A", _lstsq_cases(), ids=[c[0] for c in _lstsq_cases()])
+def test_stacked_lstsq_matches_numpy(name, A):
+    q, M, N = A.shape
+    B = np.random.default_rng(M * 10 + N).standard_normal((q, M, 2))
+    Z = oracle._lstsq(A, B)
+    assert Z.shape == (q, N, 2)
+    for Ai, Bi, Zi in zip(A, B, Z):
+        expect = np.linalg.lstsq(Ai, Bi, rcond=None)[0]
+        assert np.allclose(Zi, expect, rtol=1e-10, atol=1e-12), name
+
+
+def test_negative_restarts_are_rejected(monkeypatch):
+    from els import pipeline
+    from els.errors import InvalidInput
+
+    prob = build_fixture("example-4.2")
+    with pytest.raises(InvalidInput, match="restarts"):
+        oracle_solve(prob, restarts=-3)
+    mm = MinimaxProblem(base=prob, pieces=[MinimaxPiece(A=prob.A0, c=0.0)])
+    with pytest.raises(InvalidInput, match="restarts"):
+        minimax_oracle(mm, restarts=-1)
+
+    def no_relaxation(*args, **kwargs):
+        raise AssertionError("the relaxation ran before the restarts were checked")
+
+    monkeypatch.setattr(pipeline, "solve_cr", no_relaxation)
+    with pytest.raises(InvalidInput, match="restarts"):
+        pipeline.solve_report(prob, with_oracle=True, restarts=-3)
+    monkeypatch.undo()
+    # without the oracle the restart count is unused; zero restarts stay legal
+    assert pipeline.solve_report(prob, restarts=-3)["oracle"] is None
+    value, _, diag = oracle_solve(build_fixture("example-4.1"), restarts=0)
+    assert diag.starts == len(oracle._grid_starts(build_fixture("example-4.1"))) > 0
+    assert value == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

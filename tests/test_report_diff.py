@@ -37,6 +37,14 @@ def _entry(index=0):
         "recovered": {"X": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], "objective": 0.0, "exact": True},
         "certificate": {"global": True, "licq": True, "route": "psd", "lambda": [0.0]},
         "exact_recovery": True,
+        "oracle": {
+            "value": -1.0,
+            "X": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "max_residual": 1e-15,
+            "starts": 60,
+            "feasible_starts": 58,
+            "winner": {"kind": "restart", "index": 3},
+        },
     }
     return {"workload": "w", "seed": 301, "index": index, "instance": "i", "report": report, "checks": []}
 
@@ -73,10 +81,35 @@ def test_point_and_rounding_changes_are_listed_not_failed(tmp_path, capsys):
     assert "MISMATCH" not in out
 
 
+def test_oracle_point_and_winner_changes_are_listed_not_failed(tmp_path, capsys):
+    def edit(r):
+        r["oracle"]["X"][0] = [1.0, 0.0]
+        r["oracle"]["X"][1] = [0.0, 1.0]
+        r["oracle"]["max_residual"] = 9e-13
+        r["oracle"]["winner"] = {"kind": "grid", "index": 15}
+        r["oracle"]["value"] = -1.0 - 1.5e-9  # within 1e-9 * (1 + |v|) = 2e-9
+
+    code, out = _diff(tmp_path, capsys, edit)
+    assert code == 0
+    assert "oracle.X: 1, 1" in out
+    assert "oracle.winner.kind: 1" in out and "oracle.winner.index: 1, 12" in out
+    assert "oracle.value: 1" in out
+    assert "MISMATCH" not in out
+
+
+def _no_oracle_value(r):
+    r["oracle"] = {"value": None, "error": "no feasible point found (inconclusive)",
+                   "starts": 60, "feasible_starts": 0, "winner": None}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda r: r["relaxation"].update(status="numerical-failure"),
+        lambda r: r["oracle"].update(starts=61),
+        lambda r: r["oracle"].update(feasible_starts=57),
+        lambda r: r["oracle"].update(value=-1.0 - 3e-9),
+        _no_oracle_value,
         lambda r: r["reduction"]["trace"][1].update(null_dim=2),
         lambda r: r["reduction"]["trace"][1].update(rank=4),
         lambda r: r["reduction"]["trace"].pop(),

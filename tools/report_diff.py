@@ -14,9 +14,13 @@ script writes the reports of an older commit checked out elsewhere.
 ``diff`` lists every field that changed, with the number of reports it
 changed in and the largest numeric difference, and exits with status 1
 when a change matters: a relaxation status, a reduction rank or
-``null_dim``, the reduction outcome, ``exact_recovery`` or a certificate
-verdict differs, a recovered objective moves by more than 1e-5, a report's
-check messages differ, or the two files do not hold the same reports.
+``null_dim``, the reduction outcome, ``exact_recovery``, a certificate
+verdict, the oracle's ``starts`` or ``feasible_starts`` or whether it found
+a value differs, a recovered objective moves by more than 1e-5, an oracle
+value moves by more than 1e-9 (1 + |value|), a report's check messages
+differ, or the two files do not hold the same reports.  The oracle's point,
+``max_residual`` and ``winner`` are listed only: where several starts reach
+the same minimizer, which of them is lowest is a matter of rounding.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (301, 501)
 OBJECTIVE_TOL = 1e-5
+ORACLE_VALUE_TOL = 1e-9  # relative to 1 + |value|
 
 # Fields that must not change; a leaf path matches after list indices are
 # replaced by [*].
@@ -50,6 +55,10 @@ VERDICT_FIELDS = (
     "certificate.second_order_ok",
     "certificate.global",
     "certificate.route",
+    "oracle.starts",
+    "oracle.feasible_starts",
+    "oracle.value.present",
+    "oracle.error.present",
     "checks",
 )
 
@@ -121,6 +130,9 @@ def _flat(entry: dict) -> dict:
     leaves = _leaves(entry["report"], "", {})
     leaves["checks"] = entry["checks"]
     leaves["certificate.present"] = entry["report"].get("certificate") is not None
+    oracle = entry["report"].get("oracle") or {}
+    leaves["oracle.value.present"] = oracle.get("value") is not None
+    leaves["oracle.error.present"] = "error" in oracle
     return leaves
 
 
@@ -154,6 +166,10 @@ def diff(old_path: Path, new_path: Path) -> int:
                 problems.append(f"{label}: {path} {va!r} -> {vb!r}")
             elif pattern == "recovered.objective" and (delta is None or delta > OBJECTIVE_TOL):
                 problems.append(f"{label}: recovered objective {va!r} -> {vb!r}")
+            elif pattern == "oracle.value" and (
+                delta is None or delta > ORACLE_VALUE_TOL * (1.0 + abs(va))
+            ):
+                problems.append(f"{label}: oracle value {va!r} -> {vb!r}")
 
     print(f"{len(old_by.keys() & new_by.keys())} reports compared")
     if changed:
