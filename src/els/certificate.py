@@ -11,18 +11,23 @@ Two routes are checked at a feasible point X*:
   local optimality already implies global optimality.
 
 When neither route applies the verdict is inconclusive, not a disproof.
+
+The multiplier fit is plain numpy.  For fixed lambda the best symmetric
+Lambda has a closed form from one p x p eigendecomposition of X*.T X*, so
+Lambda is eliminated first; what is left is a sign-constrained
+least-squares problem in the active lambda only, solved by a Lawson-Hanson
+active-set iteration (``linalg.signed_lstsq``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
-from .linalg import DEFAULT_TOL, numeric_rank, nullspace_basis, symmetric_basis
-from .problem import ElsProblem, StiefelPoint, residuals
+from .errors import InvalidInput, ValidationError
+from .linalg import DEFAULT_TOL, numeric_rank, nullspace_basis, signed_lstsq
+from .problem import ElsProblem, StiefelPoint, bound_violations
 
 ROUTE_MULTIPLIER = "lemma-5.1"
 ROUTE_LOCAL = "theorem-5.1"
@@ -46,16 +51,20 @@ class ActiveSet:
 def active_set(prob: ElsProblem, X, act_tol: float = 1e-6) -> ActiveSet:
     """Detect active constraints with tolerance act_tol * (1 + |bound|)."""
     values = prob.constraint_values(X)
-    up, lo, eq = [], [], []
-    for i, (c, v) in enumerate(zip(prob.constraints, values)):
-        if c.is_equality:
-            eq.append(i)
-            continue
-        if math.isfinite(c.upper) and abs(v - c.upper) <= act_tol * (1.0 + abs(c.upper)):
-            up.append(i)
-        if math.isfinite(c.lower) and abs(v - c.lower) <= act_tol * (1.0 + abs(c.lower)):
-            lo.append(i)
-    return ActiveSet(upper_active=up, lower_active=lo, equality_active=eq, act_tol=act_tol)
+    lower, upper = prob.bounds()
+    equality = np.isfinite(lower) & (lower == upper)
+
+    def near(bound):
+        finite = np.isfinite(bound) & ~equality
+        bound = np.where(finite, bound, 0.0)
+        return finite & (np.abs(values - bound) <= act_tol * (1.0 + np.abs(bound)))
+
+    return ActiveSet(
+        upper_active=np.flatnonzero(near(upper)).tolist(),
+        lower_active=np.flatnonzero(near(lower)).tolist(),
+        equality_active=np.flatnonzero(equality).tolist(),
+        act_tol=act_tol,
+    )
 
 
 @dataclass
@@ -75,67 +84,77 @@ def _point_matrix(prob: ElsProblem, Xstar) -> np.ndarray:
     return np.asarray(Xstar, dtype=float)
 
 
+def _eliminate_lambda(X: np.ndarray, A: np.ndarray):
+    """Minimize ||A_j.T + X Lambda_j||_F over symmetric Lambda_j in closed
+    form, for a stack of p x n matrices A.
+
+    The minimizer solves sym(X.T X Lambda) = -sym(X.T A.T).  With
+    X.T X = W diag(g) W.T, Y = X W and K = W.T A Y, it is Lambda = W L W.T
+    with L_ij = -(K + K.T)_ij / (g_i + g_j): exact for any full-rank X, and
+    -sym(A X) when X.T X = I.  Returns W, the stack of L and the stack of
+    rotated residuals W.T (A + Lambda X.T), whose norms are those of
+    A.T + X Lambda.
+    """
+    g, W = np.linalg.eigh(X.T @ X)
+    Y = X @ W
+    P = W.T @ A
+    K = P @ Y
+    L = -(K + np.swapaxes(K, 1, 2)) / (g[:, None] + g[None, :])
+    return W, L, P + L @ Y.T
+
+
 def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e-6) -> KktFit:
     """Least-squares multiplier fit with complementarity by construction.
 
-    Minimizes the Frobenius norm of the stationarity matrix over symmetric
-    Lambda and sign-constrained lambda: nonnegative where only the upper
-    bound is active, nonpositive where only the lower bound is active, free
-    on equality rows, fixed to zero elsewhere.  Solved as a bounded-variable
-    linear least-squares problem (active-set iteration).
-    """
-    # scipy.optimize takes most of `import els`; only this fit needs it.
-    from scipy.optimize import lsq_linear
+    Minimizes the Frobenius norm of the stationarity matrix
+    A0.T + sum_i lambda_i A_i.T + X Lambda over symmetric Lambda and
+    sign-constrained lambda: nonnegative where only the upper bound is
+    active, nonpositive where only the lower bound is active, free on
+    equality rows and where both sides are active, zero elsewhere.
 
+    Lambda is eliminated in closed form (``_eliminate_lambda``): for fixed
+    lambda the best Lambda is linear in A0 + sum_i lambda_i A_i, so mapping
+    A0 and each active A_i to its residual leaves a small sign-constrained
+    least-squares problem in the active lambda only.  It is solved by the
+    Lawson-Hanson active-set iteration of ``signed_lstsq``; Lambda is then
+    the closed form at A0 + sum_i lambda_i A_i.
+    """
     X = _point_matrix(prob, Xstar)
-    point = residuals(prob, X)
+    # the feasibility test of ``residuals``, on the one stack the fit reads:
+    # at the smallest sizes the fit costs about as much as this test
+    if X.shape != (prob.n, prob.p):
+        raise ValidationError(f"X has shape {X.shape}, expected {(prob.n, prob.p)}")
+    mats = prob.trace_matrices()
+    lower, upper = prob.bounds()
+    values = np.trace(mats[1:] @ X, axis1=1, axis2=2)
+    orth = float(np.linalg.norm(X.T @ X - np.eye(prob.p)))
+    point = StiefelPoint(X, orth, bound_violations(values, lower, upper))
     if not point.feasible(1e-6):
         raise InvalidInput(
             f"multiplier fit needs a feasible point; residual {point.max_residual:.3e}"
         )
-    n, p = prob.n, prob.p
+    owners = act.indices
+    upper_side = set(act.upper_active) | set(act.equality_active)
+    lower_side = set(act.lower_active) | set(act.equality_active)
+    up = np.array([i in upper_side for i in owners], dtype=bool)
+    lo = np.array([i in lower_side for i in owners], dtype=bool)
+    flip = np.where(lo & ~up, -1.0, 1.0)  # lower-only rows: lambda <= 0
 
-    cols, lb, ub, owners = [], [], [], []
-    for i in sorted(set(act.upper_active) | set(act.lower_active) | set(act.equality_active)):
-        up = i in act.upper_active or i in act.equality_active
-        lo = i in act.lower_active or i in act.equality_active
-        cols.append(prob.constraints[i].A.T.ravel(order="F"))
-        lb.append(-math.inf if lo else 0.0)
-        ub.append(math.inf if up else 0.0)
-        owners.append(i)
-    basis = symmetric_basis(p)
-    for S in basis:
-        cols.append((X @ S).ravel(order="F"))
-        lb.append(-math.inf)
-        ub.append(math.inf)
-
-    M = np.array(cols).T
-    rhs = -prob.A0.T.ravel(order="F")
-    if M.shape[1] <= M.shape[0]:
-        res = lsq_linear(M, rhs, bounds=(np.array(lb), np.array(ub)), method="bvls", tol=1e-13)
-    else:
-        res = lsq_linear(M, rhs, bounds=(np.array(lb), np.array(ub)), method="trf", tol=1e-13)
-    z = res.x
-
+    A = mats[[0] + [i + 1 for i in owners]]
+    W, L, R = _eliminate_lambda(X, A)
+    B = R[1:].reshape(len(owners), R[0].size).T * flip
+    lam_act = flip * signed_lstsq(B, -R[0].ravel(), up != lo)
     lam = np.zeros(prob.k)
-    for j, i in enumerate(owners):
-        lam[i] = z[j]
-    Lambda = sum(c * S for c, S in zip(z[len(owners):], basis)) if basis else np.zeros((p, p))
-    Lambda = 0.5 * (Lambda + Lambda.T)
+    lam[owners] = lam_act
 
-    stationarity = prob.A0.T + X @ Lambda
-    for l, c in zip(lam, prob.constraints):
-        stationarity = stationarity + l * c.A.T
+    # inactive rows have lambda = 0 and add nothing to either residual
+    coef = np.concatenate(([1.0], lam_act))
+    Lambda = W @ (coef @ L.reshape(coef.size, -1)).reshape(L.shape[1:]) @ W.T
+    Lambda = 0.5 * (Lambda + Lambda.T)
+    stationarity = (coef @ A.reshape(coef.size, -1)).reshape(A.shape[1:]) + Lambda @ X.T
     stat = float(np.linalg.norm(stationarity))
-    values = prob.constraint_values(X)
-    comp = 0.0
-    for i, (c, v) in enumerate(zip(prob.constraints, values)):
-        lam_plus = max(lam[i], 0.0)
-        lam_minus = max(-lam[i], 0.0)
-        if math.isfinite(c.upper):
-            comp = max(comp, abs(lam_plus * (v - c.upper)))
-        if math.isfinite(c.lower):
-            comp = max(comp, abs(lam_minus * (v - c.lower)))
+    gap = values[owners] - np.where(lam_act > 0.0, upper[owners], lower[owners])
+    comp = float(np.abs(lam_act * np.where(lam_act != 0.0, gap, 0.0)).max(initial=0.0))
     kkt_ok = stat <= kkt_tol * (1.0 + float(np.linalg.norm(prob.A0)))
     return KktFit(
         lam=lam,

@@ -35,7 +35,7 @@ from .oracle import oracle_solve
 from .pipeline import certify_report, problem_digest, solve_report
 from .problem import parse_minimax_problem, parse_point, parse_problem
 from .rangeprobe import RangeQuery, probe_rows
-from .solver import SolverConfig
+from .solver import STATUS_FAILURE, STATUS_INFEASIBLE, SolverConfig
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -112,6 +112,11 @@ def _config(args) -> SolverConfig:
     return SolverConfig(tol=args.tol, seed=seed)
 
 
+def _status_exit(status: str) -> int:
+    """Exit code of a relaxation status."""
+    return {STATUS_INFEASIBLE: EXIT_INFEASIBLE, STATUS_FAILURE: EXIT_NUMERICAL}.get(status, EXIT_OK)
+
+
 def _cmd_solve(args) -> int:
     prob = parse_problem(_read(args.problem))
     cfg = _config(args)
@@ -124,12 +129,7 @@ def _cmd_solve(args) -> int:
         seed=cfg.seed,
     )
     _emit(report, args.out)
-    status = report["relaxation"]["status"]
-    if status == "infeasible":
-        return EXIT_INFEASIBLE
-    if status == "numerical-failure":
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _status_exit(report["relaxation"]["status"])
 
 
 def _cmd_relax(args) -> int:
@@ -146,11 +146,7 @@ def _cmd_relax(args) -> int:
         "X": sol.X.tolist(),
     }
     _emit(doc, args.out)
-    if sol.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if sol.status == "numerical-failure":
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _status_exit(sol.status)
 
 
 def _cmd_certify(args) -> int:

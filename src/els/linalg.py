@@ -121,6 +121,59 @@ def nullspace_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _fix_column_signs(Vt[rank:].T)
 
 
+def signed_lstsq(B, b, signed, rcond: float = 1e-12) -> np.ndarray:
+    """Minimize ``||B x - b||`` subject to ``x_j >= 0`` where ``signed[j]``.
+
+    Lawson-Hanson active-set iteration with free variables: the unsigned
+    columns are always in the passive set, signed ones enter by largest
+    gradient and leave when an interpolation step reaches zero.  Each
+    passive-set solve is the minimum-norm least-squares solution (singular
+    values below ``rcond * sigma_max`` dropped), so dependent columns give a
+    deterministic x.  Among all minimizers, the minimum-norm one over the
+    columns with zero gradient is returned when it keeps the signs; for two
+    equal signed columns that is the even split.
+    """
+    B = np.asarray(B, dtype=float)
+    b = np.asarray(b, dtype=float)
+    signed = np.asarray(signed, dtype=bool)
+    m = B.shape[1]
+
+    def solve(mask):
+        z = np.zeros(m)
+        if mask.any():
+            z[mask] = np.linalg.lstsq(B[:, mask], b, rcond=rcond)[0]
+        return z
+
+    x = np.linalg.lstsq(B, b, rcond=rcond)[0]
+    if (x[signed] >= 0.0).all():
+        return x  # the unconstrained minimum-norm solution keeps the signs
+    passive = ~signed
+    x = solve(passive)
+    tol = 64.0 * np.finfo(float).eps * max(B.shape) * np.linalg.norm(B) * np.linalg.norm(b)
+    for _ in range(3 * m):
+        w = B.T @ (b - B @ x)
+        enter = signed & ~passive & (w > tol)
+        if not enter.any():
+            break
+        passive[np.argmax(np.where(enter, w, -np.inf))] = True
+        while True:
+            z = solve(passive)
+            neg = np.flatnonzero(passive & signed & (z < 0.0))
+            if neg.size == 0:
+                x = z
+                break
+            ratios = x[neg] / (x[neg] - z[neg])
+            x = x + ratios.min() * (z - x)
+            drop = passive & signed & (x <= 0.0)
+            drop[neg[np.argmin(ratios)]] = True
+            passive &= ~drop
+            x[drop] = 0.0
+
+    w = B.T @ (b - B @ x)
+    z = solve(passive | (signed & (np.abs(w) <= tol)))
+    return z if np.all(z[signed] >= 0.0) else x
+
+
 def symmetric_basis(m: int) -> list[np.ndarray]:
     """Orthonormal basis of m x m symmetric matrices (Frobenius inner product).
 

@@ -23,7 +23,7 @@ from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
 from .problem import ElsProblem, LinearConstraint, MinimaxProblem, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
-from .solver import SolverConfig, solve_cr, solve_epigraph
+from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolverConfig, solve_cr, solve_epigraph
 
 
 def piece_subproblem(mm: MinimaxProblem, q: int) -> ElsProblem:
@@ -62,7 +62,7 @@ def solve_minimax(
     for q in range(mm.m):
         sub = piece_subproblem(mm, q)
         sol = solve_cr(sub, cfg)
-        if sol.status != "optimal":
+        if sol.status != STATUS_OPTIMAL:
             branch_values.append(math.inf)
             branch_points.append(None)
             continue
@@ -93,8 +93,8 @@ def solve_minimax_epigraph(mm: MinimaxProblem, cfg: SolverConfig | None = None) 
     constraints, and the spectral ball; see ``solver.solve_epigraph``.
     """
     sol = solve_epigraph(mm, cfg)
-    if sol.status == "infeasible":
+    if sol.status == STATUS_INFEASIBLE:
         raise Infeasible("base constraints are infeasible")
-    if sol.status != "optimal":
+    if sol.status != STATUS_OPTIMAL:
         raise Infeasible("epigraph relaxation did not converge")
     return sol.value

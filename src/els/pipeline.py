@@ -22,7 +22,7 @@ from .linalg import DEFAULT_TOL
 from .oracle import oracle_solve
 from .problem import ElsProblem, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
-from .solver import CrSolution, SolverConfig, solve_cr
+from .solver import STATUS_OPTIMAL, CrSolution, SolverConfig, solve_cr
 
 # The reduction inherits the solver's optimality gap as objective drift, so
 # the relaxation feeding it is solved tighter than the user-facing default.
@@ -121,7 +121,7 @@ def solve_report(
     report["certificate"] = None
     report["exact_recovery"] = None
 
-    if sol.status == "optimal":
+    if sol.status == STATUS_OPTIMAL:
         t0 = time.perf_counter()
         outcome = reduce_to_stiefel(prob, sol.X, rank_tol)
         timings["reduction"] = time.perf_counter() - t0

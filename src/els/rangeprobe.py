@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, as_matrix
 from .problem import ElsProblem, LinearConstraint, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
-from .solver import SolverConfig, solve_cr
+from .solver import STATUS_OPTIMAL, SolverConfig, solve_cr
 
 
 @dataclass
@@ -61,7 +61,7 @@ def membership_g2(query: RangeQuery, cfg: SolverConfig | None = None) -> G2Membe
     cfg = cfg or SolverConfig()
     prob = query.problem()
     sol = solve_cr(prob, cfg)
-    if sol.status != "optimal":
+    if sol.status != STATUS_OPTIMAL:
         return G2Membership(feasible=False, X=None, max_residual=float("inf"))
     values = prob.constraint_values(sol.X)
     resid = float(np.abs(values - query.target).max()) if query.k else 0.0

@@ -49,9 +49,9 @@ import numpy as np
 from .linalg import DEFAULT_TOL, as_matrix, thin_svd
 from .problem import ElsProblem, MinimaxProblem, StiefelPoint, bound_violations
 
-_STATUS_OPTIMAL = "optimal"
-_STATUS_INFEASIBLE = "infeasible"
-_STATUS_FAILURE = "numerical-failure"
+STATUS_OPTIMAL = "optimal"
+STATUS_INFEASIBLE = "infeasible"
+STATUS_FAILURE = "numerical-failure"
 
 _MAX_OUTER = 140
 _MAX_INNER = 60
@@ -391,11 +391,11 @@ def _optimal_within(c: np.ndarray, tol: float):
 
     def stop(z, gap, centered, spent):
         if not centered:
-            return _STATUS_FAILURE
+            return STATUS_FAILURE
         if gap <= tol * (1.0 + abs(float(c @ z))):
-            return _STATUS_OPTIMAL
+            return STATUS_OPTIMAL
         if spent:
-            return _STATUS_FAILURE
+            return STATUS_FAILURE
         return None
 
     return stop
@@ -473,7 +473,7 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, str,
             rows.append(_Row(A=c.A, g=np.array([1.0]), lower=c.lower, upper=math.inf))
             tau0 = max(tau0, c.lower)
     if not rows:
-        return True, np.zeros((n, p)), _STATUS_OPTIMAL, 0
+        return True, np.zeros((n, p)), STATUS_OPTIMAL, 0
 
     prog = _BallProgram(n, p, 1, np.concatenate([np.zeros(n * p), [1.0]]), rows)
     z0 = np.zeros(prog.dim)
@@ -486,15 +486,15 @@ def _phase1(prob: ElsProblem, cfg: SolverConfig) -> tuple[bool, np.ndarray, str,
         X, _ = prog.unpack(z)
         if tau <= -margin:
             # Comfortably interior point of the unrelaxed constraints.
-            return True, X, _STATUS_OPTIMAL
+            return True, X, STATUS_OPTIMAL
         Xp = _project_equalities(prob, X)
         if _max_violation(prob, Xp) <= 0.9 * cfg.feas_tol and _interior_start(prob, Xp):
-            return True, Xp, _STATUS_OPTIMAL
+            return True, Xp, STATUS_OPTIMAL
         stalled = not centered or spent
         if stalled or tau - 2.0 * gap > cfg.feas_tol or gap <= gap_floor:
             if tau <= cfg.feas_tol:
-                return True, X, _STATUS_OPTIMAL
-            return False, X, _STATUS_FAILURE if stalled else _STATUS_OPTIMAL
+                return True, X, STATUS_OPTIMAL
+            return False, X, STATUS_FAILURE if stalled else STATUS_OPTIMAL
         return None
 
     res = prog.solve(z0, cfg, decide)
@@ -543,7 +543,7 @@ def _reach_verdict(prob: ElsProblem, feas_tol: float) -> CrSolution | None:
         return CrSolution(
             X=X,
             value=float(np.trace(prob.A0 @ X)),
-            status=_STATUS_OPTIMAL,
+            status=STATUS_OPTIMAL,
             gap_estimate=float(np.linalg.norm(prob.A0)) * spread,
         )
     return None
@@ -551,7 +551,7 @@ def _reach_verdict(prob: ElsProblem, feas_tol: float) -> CrSolution | None:
 
 def _infeasible(prob: ElsProblem) -> CrSolution:
     return CrSolution(
-        X=np.zeros((prob.n, prob.p)), value=math.inf, status=_STATUS_INFEASIBLE, gap_estimate=math.inf
+        X=np.zeros((prob.n, prob.p)), value=math.inf, status=STATUS_INFEASIBLE, gap_estimate=math.inf
     )
 
 
@@ -590,15 +590,15 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
         X0 = np.zeros((n, p))
     else:
         feasible, X0, status, steps1 = _phase1(prob, cfg)
-        if status != _STATUS_OPTIMAL:
-            return CrSolution(X0, math.nan, _STATUS_FAILURE, math.inf, phase1_newton=steps1)
+        if status != STATUS_OPTIMAL:
+            return CrSolution(X0, math.nan, STATUS_FAILURE, math.inf, phase1_newton=steps1)
         if not feasible:
-            return CrSolution(X0, math.inf, _STATUS_INFEASIBLE, math.inf, phase1_newton=steps1)
+            return CrSolution(X0, math.inf, STATUS_INFEASIBLE, math.inf, phase1_newton=steps1)
 
     if obj_norm == 0.0:
         # Any feasible point is optimal, so the value 0 is exact and the
         # phase-I point is already an optimum.
-        return CrSolution(X0, 0.0, _STATUS_OPTIMAL, 0.0, phase1_newton=steps1)
+        return CrSolution(X0, 0.0, STATUS_OPTIMAL, 0.0, phase1_newton=steps1)
 
     rows = [_Row(A=c.A, g=None, lower=c.lower, upper=c.upper) for c in prob.constraints]
     prog = _BallProgram(n, p, 0, prob.A0.ravel().astype(float), rows)
@@ -609,7 +609,7 @@ def solve_cr(prob: ElsProblem, cfg: SolverConfig | None = None) -> CrSolution:
                 z0 = z0 * (1.0 - shrink)
                 break
         else:
-            return CrSolution(X0, math.nan, _STATUS_FAILURE, math.inf, phase1_newton=steps1)
+            return CrSolution(X0, math.nan, STATUS_FAILURE, math.inf, phase1_newton=steps1)
 
     res = prog.solve(z0, cfg, _optimal_within(prog.c, cfg.tol))
     X, _ = prog.unpack(res.z)
@@ -639,7 +639,7 @@ def solve_epigraph(mm: MinimaxProblem, cfg: SolverConfig | None = None) -> CrSol
         ElsProblem(n=n, p=p, A0=np.zeros((p, n)), constraints=list(base.constraints)), cfg
     )
     steps1 = start.phase1_newton
-    if start.status != _STATUS_OPTIMAL:
+    if start.status != STATUS_OPTIMAL:
         return CrSolution(start.X, start.value, start.status, math.inf, phase1_newton=steps1)
 
     rows = [

@@ -1,5 +1,7 @@
 """Tests for multiplier fitting, LICQ and the global certificate."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,13 @@ from els.certificate import (
 )
 from els.errors import InvalidInput
 from els.fixtures import build_fixture
-from els.linalg import random_stiefel, thin_svd
-from els.problem import ElsProblem, LinearConstraint, residuals
+from els.linalg import random_stiefel, symmetric_basis, thin_svd
+from els.pipeline import solve_report
+from els.problem import ElsProblem, LinearConstraint, parse_problem, residuals
 from els.solver import solve_ls_svd
+from tests.test_linalg import _brute_signed_lstsq
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_fit_multipliers_global_point():
@@ -210,3 +216,110 @@ def test_critical_form_matches_kronecker_product():
         Lambda = rng.standard_normal((p, p))
         reference = Z.T @ np.kron(Lambda, np.eye(n)) @ Z
         assert np.allclose(_critical_form(Z, Lambda), reference, rtol=0.0, atol=1e-12)
+
+
+def _explicit_columns(prob, X, act):
+    """The fit as one least-squares system over explicit unknowns: a column
+    A_i.T per active row (negated for lower-only rows, so every signed
+    unknown is nonnegative) and X S per symmetric basis matrix S."""
+    up = set(act.upper_active) | set(act.equality_active)
+    lo = set(act.lower_active) | set(act.equality_active)
+    flips = [-1.0 if i in lo and i not in up else 1.0 for i in act.indices]
+    cols = [f * prob.constraints[i].A.T.ravel() for f, i in zip(flips, act.indices)]
+    cols += [(X @ S).ravel() for S in symmetric_basis(prob.p)]
+    signed = np.zeros(len(cols), dtype=bool)
+    signed[: len(flips)] = [(i in up) != (i in lo) for i in act.indices]
+    return np.array(cols).T, -prob.A0.T.ravel(), signed
+
+
+def _bound(value, side):
+    return {
+        "upper": dict(upper=value),
+        "lower": dict(lower=value),
+        "equality": dict(lower=value, upper=value),
+        "both": dict(lower=value - 1e-9, upper=value + 1e-9),
+    }[side]
+
+
+def test_fit_closed_form_lambda_at_non_orthonormal_point():
+    # certify accepts points feasible to 1e-6; the closed-form Lambda is the
+    # exact least-squares one there, not only at orthonormal X
+    rng = np.random.default_rng(80)
+    n, p = 6, 3
+    X = random_stiefel(n, p, rng)
+    X = X + 1e-7 * rng.standard_normal((n, p))
+    assert 1e-8 < np.linalg.norm(X.T @ X - np.eye(p)) < 1e-6
+    mats = rng.standard_normal((2, p, n))
+    prob = ElsProblem(
+        n=n,
+        p=p,
+        A0=rng.standard_normal((p, n)),
+        constraints=[LinearConstraint(A=A, **_bound(np.trace(A @ X), "equality")) for A in mats],
+    )
+    fit = fit_multipliers(prob, X, active_set(prob, X))
+    M, rhs, _ = _explicit_columns(prob, X, active_set(prob, X))
+    z = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    Lambda = sum(c * S for c, S in zip(z[2:], symmetric_basis(p)))
+    assert np.allclose(fit.lam, z[:2], rtol=0.0, atol=1e-10)
+    assert np.allclose(fit.Lambda, Lambda, rtol=0.0, atol=1e-10)
+    assert fit.stationarity_residual == pytest.approx(np.linalg.norm(M @ z - rhs), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fit_with_more_unknowns_than_equations(n):
+    # p = n as in example-4.3; with four active rows the p(p+1)/2 + 4
+    # unknowns outnumber the n p equations
+    rng = np.random.default_rng(81 + n)
+    p = n
+    X = random_stiefel(n, p, rng)
+    sides = ("upper", "lower", "equality", "both")
+    prob = ElsProblem(
+        n=n,
+        p=p,
+        A0=rng.standard_normal((p, n)),
+        constraints=[
+            LinearConstraint(A=A, **_bound(np.trace(A @ X), side))
+            for A, side in zip(rng.standard_normal((4, p, n)), sides)
+        ],
+    )
+    act = active_set(prob, X)
+    M, rhs, signed = _explicit_columns(prob, X, act)
+    assert M.shape[1] > M.shape[0]
+    fit = fit_multipliers(prob, X, act)
+    assert fit.stationarity_residual == pytest.approx(_brute_signed_lstsq(M, rhs, signed), abs=1e-10)
+    assert all(fit.lam[i] >= 0.0 for i in act.upper_active if i not in act.lower_active)
+    assert all(fit.lam[i] <= 0.0 for i in act.lower_active if i not in act.upper_active)
+
+
+@pytest.mark.parametrize("side", ["upper", "equality"])
+def test_fit_duplicated_row_takes_the_minimum_norm_split(side):
+    # example-5.1 with its row twice: lambda_1 + lambda_2 = 1 is all the fit
+    # determines; the answer is the even split, the same on every call
+    base = build_fixture("example-5.1")
+    row = base.constraints[0]
+    prob = ElsProblem(
+        n=2, p=1, A0=base.A0, constraints=[LinearConstraint(A=row.A, **_bound(0.0, side))] * 2
+    )
+    X = np.array([[0.0], [1.0]])
+    fit = fit_multipliers(prob, X, active_set(prob, X))
+    assert np.allclose(fit.lam, [0.5, 0.5], rtol=0.0, atol=1e-12)
+    assert fit.Lambda[0, 0] == pytest.approx(2.0, abs=1e-12)
+    again = fit_multipliers(prob, X, active_set(prob, X))
+    assert np.array_equal(fit.lam, again.lam) and np.array_equal(fit.Lambda, again.Lambda)
+    assert certify_global(prob, X).is_global
+
+
+# The certificate blocks of `els solve` on the fixture files that reach it.
+FIXTURE_VERDICTS = {
+    "dispersion-example": (True, True, True, True, True, "lemma-5.1", 1),
+    "example-5.1": (True, True, True, True, True, "lemma-5.1", 2),
+    "example-5.2": (True, True, True, True, True, "lemma-5.1", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_VERDICTS))
+def test_fixture_certificate_verdicts(name):
+    prob = parse_problem((FIXDIR / f"{name}.json").read_text())
+    cert = solve_report(prob)["certificate"]
+    fields = ("kkt_ok", "lambda_psd", "licq", "second_order_ok", "global", "route", "jacobian_rank")
+    assert tuple(cert[f] for f in fields) == FIXTURE_VERDICTS[name]

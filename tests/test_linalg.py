@@ -1,13 +1,18 @@
 """Tests for the dense linear-algebra kernel."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from els.errors import InvalidInput
 from els.linalg import (
     numeric_rank,
     nullspace_basis,
     random_stiefel,
+    signed_lstsq,
     sym_eig,
     symmetric_basis,
     thin_svd,
@@ -180,3 +185,90 @@ def test_fix_column_signs_matches_loop_reference():
         want_U, want_P = _fix_column_signs_loop(U, P)
         assert np.array_equal(got_U, want_U) and np.array_equal(got_P, want_P)
         assert np.array_equal(_fix_column_signs(U), want_U)
+
+
+def _brute_signed_lstsq(B, b, signed):
+    """Least residual over every passive set of the signed columns whose
+    least-squares solution keeps the signs (the optimum is one of them)."""
+    best = np.inf
+    free = ~signed
+    for r in range(int(signed.sum()) + 1):
+        for chosen in itertools.combinations(np.flatnonzero(signed), r):
+            mask = free.copy()
+            mask[list(chosen)] = True
+            z = np.zeros(B.shape[1])
+            if mask.any():
+                z[mask] = np.linalg.lstsq(B[:, mask], b, rcond=None)[0]
+            if (z[signed] >= -1e-12).all():
+                best = min(best, float(np.linalg.norm(B @ z - b)))
+    return best
+
+
+def _signed_case(kind, rng):
+    m = {"random": 5, "rank-deficient": 6, "all-free": 4, "all-signed": 6, "empty": 0}[kind]
+    B = rng.standard_normal((8, m))
+    if kind == "rank-deficient":
+        B = rng.standard_normal((8, 2)) @ rng.standard_normal((2, m))
+    signed = rng.random(m) < 0.6
+    if kind == "all-free":
+        signed[:] = False
+    if kind == "all-signed":
+        signed[:] = True
+    return B, rng.standard_normal(8), signed
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-deficient", "all-free", "all-signed", "empty"])
+def test_signed_lstsq_matches_brute_force(kind):
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        B, b, signed = _signed_case(kind, rng)
+        x = signed_lstsq(B, b, signed)
+        assert x.shape == (B.shape[1],)
+        assert (x[signed] >= 0.0).all()
+        best = _brute_signed_lstsq(B, b, signed)
+        assert np.linalg.norm(B @ x - b) == pytest.approx(best, rel=1e-10, abs=1e-12)
+        if kind in ("random", "all-signed"):
+            # full column rank: the minimizer is unique
+            reference = np.linalg.lstsq(B, b, rcond=None)[0]
+            if (reference[signed] >= 0.0).all():
+                assert np.allclose(x, reference, atol=1e-10)
+
+
+def test_signed_lstsq_even_split_of_equal_columns():
+    # two equal signed columns: every split of the total is optimal, the
+    # minimum-norm one is the even split, and it is the same on every call.
+    # The third column would take a negative value without its sign, so the
+    # split comes from the active-set path, not from the unconstrained solve.
+    rng = np.random.default_rng(72)
+    col, other = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
+    B = np.column_stack([col, col, other])
+    b = 2.0 * col - other
+    for signed in ([True, True, True], [True, True, False]):
+        x = signed_lstsq(B, b, np.array(signed))
+        expected = [1.0, 1.0, 0.0] if signed[2] else [1.0, 1.0, -1.0]
+        assert np.allclose(x, expected, atol=1e-12)
+        assert np.array_equal(x, signed_lstsq(B, b, np.array(signed)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.integers(0, 6).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=1, max_size=8),
+            st.lists(st.booleans(), min_size=m, max_size=m),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_property_signed_lstsq_satisfies_kkt(data):
+    rows, signs, seed = data
+    B = np.array(rows, dtype=float).reshape(len(rows), len(signs))
+    b = np.random.default_rng(seed).standard_normal(B.shape[0])
+    signed = np.array(signs, dtype=bool)
+    x = signed_lstsq(B, b, signed)
+    w = B.T @ (b - B @ x)  # minus the gradient of the half squared residual
+    tol = 1e-9 * (1.0 + np.linalg.norm(B)) ** 2 * (1.0 + np.linalg.norm(b) + np.linalg.norm(x))
+    assert (x[signed] >= 0.0).all()
+    assert (np.abs(w[~signed]) <= tol).all()
+    assert (w[signed] <= tol).all()
+    assert (np.abs(x[signed] * w[signed]) <= tol * (1.0 + np.abs(x[signed]))).all()

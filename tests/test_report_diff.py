@@ -35,7 +35,7 @@ def _entry(index=0):
             ],
         },
         "recovered": {"X": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], "objective": 0.0, "exact": True},
-        "certificate": {"global": True, "licq": True, "route": "psd", "lambda": [0.0]},
+        "certificate": {"global": True, "licq": True, "route": "psd", "jacobian_rank": 4, "lambda": [0.0]},
         "exact_recovery": True,
         "oracle": {
             "value": -1.0,
@@ -117,6 +117,7 @@ def _no_oracle_value(r):
         lambda r: r["certificate"].update({"global": False}),
         lambda r: r.update(certificate=None),
         lambda r: r["recovered"].update(objective=2e-5),
+        lambda r: r["certificate"].update(jacobian_rank=3),
     ],
 )
 def test_verdict_changes_fail(tmp_path, capsys, edit):

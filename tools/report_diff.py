@@ -15,10 +15,11 @@ script writes the reports of an older commit checked out elsewhere.
 changed in and the largest numeric difference, and exits with status 1
 when a change matters: a relaxation status, a reduction rank or
 ``null_dim``, the reduction outcome, ``exact_recovery``, a certificate
-verdict, the oracle's ``starts`` or ``feasible_starts`` or whether it found
-a value differs, a recovered objective moves by more than 1e-5, an oracle
-value moves by more than 1e-9 (1 + |value|), a report's check messages
-differ, or the two files do not hold the same reports.  The oracle's point,
+verdict or ``jacobian_rank``, the oracle's ``starts`` or
+``feasible_starts`` or whether it found a value differs, a recovered
+objective moves by more than 1e-5, an oracle value moves by more than
+1e-9 (1 + |value|), a report's check messages differ, or the two files do
+not hold the same reports.  The oracle's point,
 ``max_residual`` and ``winner`` are listed only: where several starts reach
 the same minimizer, which of them is lowest is a matter of rounding.
 """
@@ -55,6 +56,7 @@ VERDICT_FIELDS = (
     "certificate.second_order_ok",
     "certificate.global",
     "certificate.route",
+    "certificate.jacobian_rank",
     "oracle.starts",
     "oracle.feasible_starts",
     "oracle.value.present",
