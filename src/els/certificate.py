@@ -21,13 +21,14 @@ active-set iteration (``linalg.signed_lstsq``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ValidationError
+from .errors import InvalidInput
 from .linalg import DEFAULT_TOL, numeric_rank, nullspace_basis, signed_lstsq
-from .problem import ElsProblem, StiefelPoint, bound_violations
+from .problem import ElsProblem, StiefelPoint, residuals
 
 ROUTE_MULTIPLIER = "lemma-5.1"
 ROUTE_LOCAL = "theorem-5.1"
@@ -51,20 +52,16 @@ class ActiveSet:
 def active_set(prob: ElsProblem, X, act_tol: float = 1e-6) -> ActiveSet:
     """Detect active constraints with tolerance act_tol * (1 + |bound|)."""
     values = prob.constraint_values(X)
-    lower, upper = prob.bounds()
-    equality = np.isfinite(lower) & (lower == upper)
-
-    def near(bound):
-        finite = np.isfinite(bound) & ~equality
-        bound = np.where(finite, bound, 0.0)
-        return finite & (np.abs(values - bound) <= act_tol * (1.0 + np.abs(bound)))
-
-    return ActiveSet(
-        upper_active=np.flatnonzero(near(upper)).tolist(),
-        lower_active=np.flatnonzero(near(lower)).tolist(),
-        equality_active=np.flatnonzero(equality).tolist(),
-        act_tol=act_tol,
-    )
+    up, lo, eq = [], [], []
+    for i, (c, v) in enumerate(zip(prob.constraints, values)):
+        if c.is_equality:
+            eq.append(i)
+            continue
+        if math.isfinite(c.upper) and abs(v - c.upper) <= act_tol * (1.0 + abs(c.upper)):
+            up.append(i)
+        if math.isfinite(c.lower) and abs(v - c.lower) <= act_tol * (1.0 + abs(c.lower)):
+            lo.append(i)
+    return ActiveSet(upper_active=up, lower_active=lo, equality_active=eq, act_tol=act_tol)
 
 
 @dataclass
@@ -120,19 +117,12 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     the closed form at A0 + sum_i lambda_i A_i.
     """
     X = _point_matrix(prob, Xstar)
-    # the feasibility test of ``residuals``, on the one stack the fit reads:
-    # at the smallest sizes the fit costs about as much as this test
-    if X.shape != (prob.n, prob.p):
-        raise ValidationError(f"X has shape {X.shape}, expected {(prob.n, prob.p)}")
-    mats = prob.trace_matrices()
-    lower, upper = prob.bounds()
-    values = np.trace(mats[1:] @ X, axis1=1, axis2=2)
-    orth = float(np.linalg.norm(X.T @ X - np.eye(prob.p)))
-    point = StiefelPoint(X, orth, bound_violations(values, lower, upper))
+    point = residuals(prob, X)
     if not point.feasible(1e-6):
         raise InvalidInput(
             f"multiplier fit needs a feasible point; residual {point.max_residual:.3e}"
         )
+    lower, upper = prob.bounds()
     owners = act.indices
     upper_side = set(act.upper_active) | set(act.equality_active)
     lower_side = set(act.lower_active) | set(act.equality_active)
@@ -140,7 +130,7 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     lo = np.array([i in lower_side for i in owners], dtype=bool)
     flip = np.where(lo & ~up, -1.0, 1.0)  # lower-only rows: lambda <= 0
 
-    A = mats[[0] + [i + 1 for i in owners]]
+    A = np.stack([prob.A0] + [prob.constraints[i].A for i in owners])
     W, L, R = _eliminate_lambda(X, A)
     B = R[1:].reshape(len(owners), R[0].size).T * flip
     lam_act = flip * signed_lstsq(B, -R[0].ravel(), up != lo)
@@ -153,7 +143,8 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     Lambda = 0.5 * (Lambda + Lambda.T)
     stationarity = (coef @ A.reshape(coef.size, -1)).reshape(A.shape[1:]) + Lambda @ X.T
     stat = float(np.linalg.norm(stationarity))
-    gap = values[owners] - np.where(lam_act > 0.0, upper[owners], lower[owners])
+    values = np.trace(A[1:] @ X, axis1=1, axis2=2)  # of the active rows
+    gap = values - np.where(lam_act > 0.0, upper[owners], lower[owners])
     comp = float(np.abs(lam_act * np.where(lam_act != 0.0, gap, 0.0)).max(initial=0.0))
     kkt_ok = stat <= kkt_tol * (1.0 + float(np.linalg.norm(prob.A0)))
     return KktFit(

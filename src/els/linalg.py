@@ -121,17 +121,23 @@ def nullspace_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _fix_column_signs(Vt[rank:].T)
 
 
-def signed_lstsq(B, b, signed, rcond: float = 1e-12) -> np.ndarray:
+# relative singular-value cutoff of the passive-set solves in signed_lstsq
+_LSTSQ_RCOND = 1e-12
+
+
+def signed_lstsq(B, b, signed) -> np.ndarray:
     """Minimize ``||B x - b||`` subject to ``x_j >= 0`` where ``signed[j]``.
 
     Lawson-Hanson active-set iteration with free variables: the unsigned
     columns are always in the passive set, signed ones enter by largest
     gradient and leave when an interpolation step reaches zero.  Each
     passive-set solve is the minimum-norm least-squares solution (singular
-    values below ``rcond * sigma_max`` dropped), so dependent columns give a
-    deterministic x.  Among all minimizers, the minimum-norm one over the
-    columns with zero gradient is returned when it keeps the signs; for two
-    equal signed columns that is the even split.
+    values below ``_LSTSQ_RCOND * sigma_max`` dropped), so dependent
+    columns give a deterministic x.  Among all minimizers, the minimum-norm
+    one over the columns with zero gradient is returned when it keeps the
+    signs; for two equal signed columns that is the even split.  The first
+    solve over all columns returns early when it keeps the signs: the loop
+    and that last solve would end at the same x, about twice as slowly.
     """
     B = np.asarray(B, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -141,10 +147,10 @@ def signed_lstsq(B, b, signed, rcond: float = 1e-12) -> np.ndarray:
     def solve(mask):
         z = np.zeros(m)
         if mask.any():
-            z[mask] = np.linalg.lstsq(B[:, mask], b, rcond=rcond)[0]
+            z[mask] = np.linalg.lstsq(B[:, mask], b, rcond=_LSTSQ_RCOND)[0]
         return z
 
-    x = np.linalg.lstsq(B, b, rcond=rcond)[0]
+    x = np.linalg.lstsq(B, b, rcond=_LSTSQ_RCOND)[0]
     if (x[signed] >= 0.0).all():
         return x  # the unconstrained minimum-norm solution keeps the signs
     passive = ~signed
