@@ -5,12 +5,13 @@ descent with an increasing penalty schedule, followed by an exact Newton
 polish of the active-set KKT system (machine-precision feasibility).  For
 tiny dimensions (spheres and frames in R^2/R^3, where the interesting
 relaxation-gap instances live) an angular grid is swept as well and its
-best points are polished.  The restarts descend together as one stack, so
-each backtracking round costs one batched SVD however many restarts are
-still moving.  The descended points are polished as stacks grouped by
-active set: one batched SVD per Newton step of each group, one
-pseudo-inverse of the active rows per group for the restores.  Everything
-is deterministic given (restarts, seed).
+best points are polished.  The restarts and the grid starts descend
+through the whole penalty schedule as one stack in which every point keeps
+its own stage, so each round costs one batched SVD for the trial steps of
+all points still searching, whatever their stage.  The descended points
+are polished as stacks grouped by active set: one batched SVD per Newton
+step of each group, one pseudo-inverse of the active rows per group for
+the restores.  Everything is deterministic given (restarts, seed).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .problem import ElsProblem, MinimaxProblem, StiefelPoint, bound_violations,
 
 _FEAS_TOL = 1e-8
 _RHO_SCHEDULE = (10.0, 1e2, 1e3, 1e4)
+_GRID_STAGE = _RHO_SCHEDULE.index(1e3)  # grid starts skip the first two stages
 
 
 def _polar(X: np.ndarray) -> np.ndarray:
@@ -36,21 +38,28 @@ def _polar(X: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _merits(mats, lower, upper, X: np.ndarray, rho: float) -> np.ndarray:
-    """Penalized merit of every point of the (R, n, p) stack ``X``.
-
-    ``mats`` is the (k+1, p, n) stack of A0 and the constraint matrices.
-    """
-    values = np.trace(mats @ X[:, None], axis1=2, axis2=3)
+def _penalized(values: np.ndarray, lower, upper, rho) -> np.ndarray:
+    """Penalized merits from the (R, k+1) objective and constraint values;
+    ``rho`` is a scalar or one penalty per point."""
     viol = bound_violations(values[:, 1:], lower, upper)
     return values[:, 0] + rho * np.sum(np.square(viol), axis=1)
 
 
-def _merit_grads(mats, lower, upper, X: np.ndarray, rho: float) -> np.ndarray:
-    """Euclidean merit gradients, (R, n, p), of the stack ``X``."""
-    V = np.trace(mats[1:] @ X[:, None], axis1=2, axis2=3)
+def _merits(mats, lower, upper, X: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and constraint values, (R, k+1), and penalized merits of
+    every point of the (R, n, p) stack ``X``.
+
+    ``mats`` is the (k+1, p, n) stack of A0 and the constraint matrices.
+    """
+    values = np.trace(mats @ X[:, None], axis1=2, axis2=3)
+    return values, _penalized(values, lower, upper, rho)
+
+
+def _merit_grads(mats, lower, upper, V: np.ndarray, rho) -> np.ndarray:
+    """Euclidean merit gradients, (R, n, p), at points with the (R, k)
+    constraint values ``V``; ``rho`` is a scalar or one penalty per point."""
     signed = np.maximum(V - upper, 0.0) - np.maximum(lower - V, 0.0)
-    G = np.repeat(mats[0].T[None], X.shape[0], axis=0)
+    G = np.repeat(mats[0].T[None], V.shape[0], axis=0)
     for i in range(signed.shape[1]):
         pushed = signed[:, i] != 0.0
         if pushed.any():
@@ -60,46 +69,101 @@ def _merit_grads(mats, lower, upper, X: np.ndarray, rho: float) -> np.ndarray:
     return G
 
 
-def _penalty_descent(mats, lower, upper, X: np.ndarray, rho: float, max_iter: int = 150) -> np.ndarray:
-    """Projected-gradient descent with polar retraction on the penalized merit.
+@dataclass(frozen=True)
+class DescentCounts:
+    """Deterministic counters of one stacked descent."""
 
-    Every point of the (R, n, p) stack ``X`` descends on its own: it keeps
-    its own step size, Armijo test, halving budget and stopping rule, and
-    leaves the stack where a descent of that point alone would stop.
-    Returns the final stack.
+    rounds: int  # batched trial rounds of the whole stack
+    gradients: int  # Riemannian gradients, summed over points
+    trials: int  # trial steps (one polar retraction each), summed over points
+
+    def as_dict(self) -> dict:
+        return {"rounds": self.rounds, "gradients": self.gradients, "trials": self.trials}
+
+
+def _penalty_descent(
+    mats, lower, upper, X: np.ndarray, first_stage, max_iter: int = 150
+) -> tuple[np.ndarray, DescentCounts]:
+    """Projected-gradient descent with polar retraction on the penalized
+    merit, through the penalty schedule from stage ``first_stage`` on (one
+    index into ``_RHO_SCHEDULE`` for the whole (R, n, p) stack ``X``, or one
+    per point).
+
+    Every point descends on its own: in each stage it keeps its own step
+    size, Armijo test, halving budget and stopping rule, and it moves to its
+    next penalty where a descent of that point alone would stop (stationary
+    gradient, ``max_iter >= 1`` gradients spent, or 40 failed halvings).  Each
+    round takes the gradients of the points that just moved or just entered
+    a stage and one trial step at every point still searching, so one
+    batched SVD serves all points whatever their stage.  Returns the final
+    stack and the counters.
     """
+    R = X.shape[0]
     X = X.copy()
     scale = 1.0 + float(np.linalg.norm(mats[0]))
-    alpha = np.full(X.shape[0], 1.0 / (1.0 + math.sqrt(rho)))
-    f = _merits(mats, lower, upper, X, rho)
-    live = np.arange(X.shape[0])
-    for _ in range(max_iter):
-        if not live.size:
+    rhos = np.array(_RHO_SCHEDULE)
+    alpha0 = 1.0 / (1.0 + np.sqrt(rhos))  # first step size of each stage
+    stage = np.array(np.broadcast_to(first_stage, (R,)), dtype=int)
+    values = np.trace(mats @ X[:, None], axis1=2, axis2=3)
+    rho, alpha, f, gnorm2 = np.zeros(R), np.zeros(R), np.zeros(R), np.zeros(R)
+    iters, halvings = np.zeros(R, dtype=int), np.zeros(R, dtype=int)
+    PG = np.zeros_like(X)
+
+    def enter(idx):
+        """Start the points ``idx`` in their current stage; returns those
+        still in the schedule."""
+        idx = idx[stage[idx] < len(rhos)]
+        if idx.size:
+            rho[idx], alpha[idx] = rhos[stage[idx]], alpha0[stage[idx]]
+            f[idx] = _penalized(values[idx], lower, upper, rho[idx])
+            iters[idx] = 0
+        return idx
+
+    def advance(idx):
+        """End the current stage of the points ``idx``."""
+        if not idx.size:
+            return idx
+        stage[idx] += 1
+        return enter(idx)
+
+    rounds = gradients = trials = 0
+    fresh = enter(np.arange(R))  # points whose next act is a gradient
+    searching = fresh[:0]
+    while True:
+        while fresh.size:
+            Xf = X[fresh]
+            G = _merit_grads(mats, lower, upper, values[fresh, 1:], rho[fresh])
+            W = Xf.transpose(0, 2, 1) @ G
+            P = G - Xf @ (0.5 * (W + W.transpose(0, 2, 1)))  # Riemannian gradient
+            # one flat sum per point, in the order np.sum takes for one point
+            g2 = np.sum((P * P).reshape(fresh.size, -1), axis=1)
+            PG[fresh], gnorm2[fresh] = P, g2
+            iters[fresh] += 1
+            halvings[fresh] = 0
+            gradients += fresh.size
+            moving = np.sqrt(g2) > 1e-10 * scale
+            searching = np.concatenate([searching, fresh[moving]])
+            fresh = advance(fresh[~moving])
+        if not searching.size:
             break
-        Xl = X[live]
-        G = _merit_grads(mats, lower, upper, Xl, rho)
-        W = Xl.transpose(0, 2, 1) @ G
-        PG = G - Xl @ (0.5 * (W + W.transpose(0, 2, 1)))  # Riemannian gradient
-        # one flat sum per point, in the order np.sum takes for one point
-        gnorm2 = np.sum((PG * PG).reshape(live.size, -1), axis=1)
-        moving = np.sqrt(gnorm2) > 1e-10 * scale
-        live, Xl, PG, gnorm2 = live[moving], Xl[moving], PG[moving], gnorm2[moving]
-        trying = np.arange(live.size)  # positions in live still backtracking
-        for _ in range(40):
-            if not trying.size:
-                break
-            idx = live[trying]
-            step = alpha[idx]
-            X_try = _polar(Xl[trying] - step[:, None, None] * PG[trying])
-            f_try = _merits(mats, lower, upper, X_try, rho)
-            ok = f_try <= f[idx] - 1e-4 * step * gnorm2[trying]
-            won = idx[ok]
-            X[won], f[won] = X_try[ok], f_try[ok]
-            alpha[won] = np.minimum(step[ok] * 1.5, 1e3)
-            alpha[idx[~ok]] = step[~ok] * 0.5
-            trying = trying[~ok]
-        live = np.delete(live, trying)  # no step accepted: that descent stops
-    return X
+        rounds += 1
+        trials += searching.size
+        step = alpha[searching]
+        X_try = _polar(X[searching] - step[:, None, None] * PG[searching])
+        v_try, f_try = _merits(mats, lower, upper, X_try, rho[searching])
+        ok = f_try <= f[searching] - 1e-4 * step * gnorm2[searching]
+        won, lost = searching[ok], searching[~ok]
+        X[won], values[won], f[won] = X_try[ok], v_try[ok], f_try[ok]
+        alpha[won] = np.minimum(step[ok] * 1.5, 1e3)
+        alpha[lost] = step[~ok] * 0.5
+        halvings[lost] += 1
+        # a stage ends when its gradient budget is spent or no step is accepted
+        spent = iters[won] >= max_iter
+        failed = halvings[lost] >= 40
+        searching, fresh = lost[~failed], won[~spent]
+        if spent.any() or failed.any():
+            fresh = np.concatenate([fresh, advance(np.concatenate([won[spent], lost[failed]]))])
+    return X, DescentCounts(rounds, gradients, trials)
 
 
 def _lstsq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -421,10 +485,24 @@ class OracleDiagnostics:
     starts: int  # random restarts plus grid starts
     feasible_starts: int  # starts whose polish gave a feasible candidate
     winner: tuple[str, int] | None  # ("restart" | "grid", index) of the best start
+    descent: DescentCounts  # rounds, gradients and trial steps of the descent
 
     def as_dict(self) -> dict:
         winner = None if self.winner is None else {"kind": self.winner[0], "index": self.winner[1]}
-        return {"starts": self.starts, "feasible_starts": self.feasible_starts, "winner": winner}
+        return {
+            "starts": self.starts,
+            "feasible_starts": self.feasible_starts,
+            "winner": winner,
+            "descent": self.descent.as_dict(),
+        }
+
+
+def check_search_args(restarts: int, seed: int) -> None:
+    """Raise InvalidInput for a negative restart count or seed."""
+    if restarts < 0:
+        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
 
 
 def oracle_solve(
@@ -434,38 +512,36 @@ def oracle_solve(
 ) -> tuple[float, StiefelPoint, OracleDiagnostics]:
     """Best feasible local value over multistart search plus grid sweeps.
 
-    The random restarts descend together as one (R, n, p) stack through the
-    penalty schedule, the grid starts as a second stack through its last two
-    stages; all descended points are then polished together, as stacks
-    grouped by active set.  Deterministic given (restarts, seed); ties
-    broken by lowest restart index, then grid index.  Raises InvalidInput
-    for negative ``restarts`` and NoFeasiblePoint, carrying the diagnostics,
-    when no feasible candidate is found.
+    The random restarts and the grid starts descend as one (R, n, p) stack
+    through the penalty schedule, the restarts from its first stage and the
+    grid starts from its ``1e3`` stage; all descended points are then
+    polished together, as stacks grouped by active set.  Deterministic
+    given (restarts, seed); ties broken by lowest restart index, then grid
+    index.  Raises InvalidInput for a negative ``restarts`` or ``seed`` and
+    NoFeasiblePoint, carrying the diagnostics, when no feasible candidate
+    is found.
     """
-    if restarts < 0:
-        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
+    check_search_args(restarts, seed)
     n, p = prob.n, prob.p
-    mats = prob.trace_matrices()
-    lower, upper = prob.bounds()
     starts = np.array(
         [random_stiefel(n, p, np.random.default_rng([seed, r])) for r in range(restarts)]
     ).reshape(-1, n, p)
     grid = _grid_starts(prob)
-    for rho in _RHO_SCHEDULE:
-        starts = _penalty_descent(mats, lower, upper, starts, rho)
-    for rho in (1e3, 1e4):
-        grid = _penalty_descent(mats, lower, upper, grid, rho)
+    first_stage = np.repeat([0, _GRID_STAGE], [len(starts), len(grid)])
+    X, counts = _penalty_descent(
+        prob.trace_matrices(), *prob.bounds(), np.concatenate([starts, grid]), first_stage
+    )
 
-    best, values = _polish(prob, np.concatenate([starts, grid]))
+    best, values = _polish(prob, X)
     feasible = int(np.count_nonzero(np.isfinite(values)))
     if not feasible:
         raise NoFeasiblePoint(
             f"no feasible point found in {restarts} restarts (inconclusive)",
-            OracleDiagnostics(len(values), 0, None),
+            OracleDiagnostics(len(values), 0, None, counts),
         )
     w = int(np.argmin(values))  # the first of the least values
     winner = ("restart", w) if w < len(starts) else ("grid", w - len(starts))
-    diagnostics = OracleDiagnostics(len(values), feasible, winner)
+    diagnostics = OracleDiagnostics(len(values), feasible, winner, counts)
     return float(values[w]), residuals(prob, best[w]), diagnostics
 
 
@@ -492,10 +568,10 @@ def minimax_oracle(mm: MinimaxProblem, restarts: int = 40, seed: int = 0) -> flo
     """Ground-truth minimax value via the branch decomposition.
 
     Each branch is a plain instance handled by ``oracle_solve``; infeasible
-    branches are skipped.  Raises InvalidInput for negative ``restarts``.
+    branches are skipped.  Raises InvalidInput for a negative ``restarts``
+    or ``seed``.
     """
-    if restarts < 0:
-        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
+    check_search_args(restarts, seed)
     best = math.inf
     found = False
     for q in range(mm.m):

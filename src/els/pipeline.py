@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 
 from .certificate import certify_global
-from .errors import InvalidInput, NoFeasiblePoint
+from .errors import NoFeasiblePoint
 from .lift import exactness_conditions
 from .linalg import DEFAULT_TOL
-from .oracle import oracle_solve
+from .oracle import check_search_args, oracle_solve
 from .problem import ElsProblem, StiefelPoint
 from .reduction import InexactnessReport, reduce_to_stiefel
 from .solver import STATUS_OPTIMAL, CrSolution, SolverConfig, solve_cr
@@ -83,11 +83,11 @@ def solve_report(
 ) -> dict:
     """Run the full pipeline and assemble the report document.
 
-    Raises InvalidInput, before any solve, for negative ``restarts`` when
-    the oracle is to run.
+    Raises InvalidInput, before any solve, for a negative ``restarts`` or
+    ``seed`` when the oracle is to run.
     """
-    if with_oracle and restarts < 0:
-        raise InvalidInput(f"restarts must be nonnegative, got {restarts}")
+    if with_oracle:
+        check_search_args(restarts, seed)
     cfg = cfg or SolverConfig(seed=seed)
     solve_cfg = replace(cfg, tol=min(cfg.tol, _PIPELINE_TOL))
     timings: dict[str, float] = {}

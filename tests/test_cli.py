@@ -63,6 +63,7 @@ def test_solve_with_oracle_reports_gap(tmp_path):
     assert res.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["oracle"]["value"] == pytest.approx(1.0, abs=1e-8)
+    assert set(doc["oracle"]["descent"]) == {"rounds", "gradients", "trials"}
 
 
 def test_certify_local_nonglobal_point(tmp_path):
@@ -144,6 +145,7 @@ def test_oracle_command():
     assert doc["starts"] > 8  # restarts plus the angular-grid starts
     assert 1 <= doc["feasible_starts"] <= doc["starts"]
     assert doc["winner"]["kind"] in ("restart", "grid")
+    assert 0 < doc["descent"]["rounds"] <= doc["descent"]["trials"]
 
 
 def test_oracle_command_without_feasible_point(tmp_path):
@@ -156,6 +158,7 @@ def test_oracle_command_without_feasible_point(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["value"] is None and "inconclusive" in doc["error"]
     assert doc["starts"] >= 4 and doc["feasible_starts"] == 0 and doc["winner"] is None
+    assert doc["descent"]["gradients"] >= 4 * 4  # each restart starts all four stages
     digest = problem_digest(parse_problem(prob.read_text()))
     assert doc["problem"] == {"n": 2, "p": 1, "k": 1, "digest": digest}
 
@@ -183,6 +186,21 @@ def test_negative_restarts_are_a_usage_error(args):
     assert res.returncode == 3
     assert res.stdout == ""
     assert res.stderr.startswith("els: error:") and "restarts" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args,env",
+    [
+        (("oracle", str(FIXDIR / "example-4.2.json"), "--seed", "-1"), None),
+        (("solve", str(FIXDIR / "example-4.2.json"), "--with-oracle"), {"ELS_SEED": "-1"}),
+    ],
+    ids=["oracle", "solve"],
+)
+def test_negative_seed_is_a_usage_error(args, env):
+    res = run_cli(*args, env_extra=env)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("els: error:") and "seed must be nonnegative, got -1" in res.stderr
 
 
 def test_range_command(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from els import oracle
 from els.errors import NoFeasiblePoint
@@ -18,7 +20,7 @@ from els.problem import (
     StiefelPoint,
     residuals,
 )
-from els.solver import solve_cr, solve_ls_svd
+from els.solver import STATUS_OPTIMAL, solve_cr, solve_ls_svd
 
 
 def test_oracle_two_sign_constraints_on_circle():
@@ -67,6 +69,26 @@ def test_oracle_value_upper_bounds_relaxation():
         assert point.feasible(1e-8)
         relax = solve_cr(prob)
         assert value >= relax.value - 1e-6
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    p=st.integers(1, 2),
+    types=st.lists(st.integers(0, 3), max_size=2),
+    seed=st.integers(0, 2**16),
+)
+def test_relaxation_never_exceeds_the_oracle(n, p, types, seed):
+    # the relaxation minimizes over the ball, which holds the manifold
+    prob = _criterion5_like(np.random.default_rng(seed), n, p, types)
+    relax = solve_cr(prob)
+    if relax.status != STATUS_OPTIMAL:
+        return
+    try:
+        value, _, _ = oracle_solve(prob, restarts=4, seed=0)
+    except NoFeasiblePoint:
+        return
+    assert relax.value <= value + 1e-8 * (1.0 + abs(value))
 
 
 def test_oracle_deterministic():
@@ -186,23 +208,67 @@ def _descent_cases():
     ]
 
 
+def _serial_schedule(prob, X, first_stage, max_iter=150):
+    """_serial_descent through the penalty schedule from ``first_stage`` on."""
+    for rho in oracle._RHO_SCHEDULE[first_stage:]:
+        X = _serial_descent(prob, X, rho, max_iter)
+    return X
+
+
+def _assert_descent_matches_serial(prob, X0, first_stage, max_iter=150):
+    """Descend the stack once and compare every point with the serial
+    reference; returns the stacked descent's counters."""
+    first_stage = np.broadcast_to(first_stage, (len(X0),))
+    stacked, counts = oracle._penalty_descent(
+        prob.trace_matrices(), *prob.bounds(), X0, first_stage, max_iter
+    )
+    assert stacked.shape == X0.shape
+    for i, (X, stage) in enumerate(zip(X0, first_stage)):
+        assert np.array_equal(stacked[i], _serial_schedule(prob, X, stage, max_iter)), f"point {i}"
+    assert counts.rounds <= counts.trials
+    return counts
+
+
+def _random_starts(prob, count, seed=9):
+    return np.array(
+        [random_stiefel(prob.n, prob.p, np.random.default_rng([seed, r])) for r in range(count)]
+    ).reshape(-1, prob.n, prob.p)
+
+
 @pytest.mark.parametrize("name,prob", _descent_cases(), ids=[c[0] for c in _descent_cases()])
 def test_stacked_descent_reproduces_serial(name, prob):
-    mats = prob.trace_matrices()
-    lower, upper = prob.bounds()
-    restarts = 6
-    starts = np.array(
-        [random_stiefel(prob.n, prob.p, np.random.default_rng([9, r])) for r in range(restarts)]
-    )
+    # restarts from the first stage and grid starts from the 1e3 stage, as
+    # oracle_solve descends them: one stack through the whole schedule
+    starts = _random_starts(prob, 6)
     grid = oracle._grid_starts(prob, max_starts=4)
-    for X0, schedule in ((starts, oracle._RHO_SCHEDULE), (grid, (1e3, 1e4))):
-        stacked, serial = X0, list(X0)
-        for rho in schedule:
-            stacked = oracle._penalty_descent(mats, lower, upper, stacked, rho)
-            serial = [_serial_descent(prob, X, rho) for X in serial]
-            assert stacked.shape == X0.shape
-            for X_stacked, X_serial in zip(stacked, serial):
-                assert np.array_equal(X_stacked, X_serial), f"{name}: rho={rho}"
+    first_stage = np.repeat([0, oracle._GRID_STAGE], [len(starts), len(grid)])
+    _assert_descent_matches_serial(prob, np.concatenate([starts, grid]), first_stage)
+
+
+def test_descent_stages_end_on_the_gradient_budget():
+    prob = _descent_cases()[0][1]
+    counts = _assert_descent_matches_serial(prob, _random_starts(prob, 4), 0, max_iter=3)
+    # every stage of every point spends its three gradients
+    assert counts.gradients == 3 * len(oracle._RHO_SCHEDULE) * 4
+
+
+def test_descent_stages_end_on_a_stationary_gradient():
+    rng = np.random.default_rng(4)
+    A0 = rng.standard_normal((2, 5))
+    prob = ElsProblem(n=5, p=2, A0=A0)
+    U, _, Vt = np.linalg.svd(-A0.T, full_matrices=False)
+    # the minimizer of tr(A0 X): each stage takes one gradient and no step
+    counts = _assert_descent_matches_serial(prob, (U @ Vt)[None], 0)
+    assert counts == oracle.DescentCounts(rounds=0, gradients=len(oracle._RHO_SCHEDULE), trials=0)
+
+
+def test_descent_stages_end_on_failed_halvings():
+    prob = build_fixture("example-4.2")
+    X, _ = oracle._penalty_descent(prob.trace_matrices(), *prob.bounds(), _random_starts(prob, 1), 0)
+    # from the descended point the last stage takes one gradient, then no
+    # step of 40 halvings passes the Armijo test
+    counts = _assert_descent_matches_serial(prob, X, len(oracle._RHO_SCHEDULE) - 1)
+    assert counts == oracle.DescentCounts(rounds=40, gradients=1, trials=40)
 
 
 def test_stacked_merit_and_gradient_match_serial():
@@ -212,9 +278,14 @@ def test_stacked_merit_and_gradient_match_serial():
         rng = np.random.default_rng(prob.n * 10 + prob.p)
         X = np.array([random_stiefel(prob.n, prob.p, rng) for _ in range(5)])
         for rho in oracle._RHO_SCHEDULE:
-            f = oracle._merits(mats, lower, upper, X, rho)
-            G = oracle._merit_grads(mats, lower, upper, X, rho)
+            values, f = oracle._merits(mats, lower, upper, X, rho)
+            G = oracle._merit_grads(mats, lower, upper, values[:, 1:], rho)
+            # one penalty per point gives the same bits as a shared one
+            rhos = np.full(len(X), rho)
+            assert np.array_equal(oracle._merits(mats, lower, upper, X, rhos)[1], f)
+            assert np.array_equal(oracle._merit_grads(mats, lower, upper, values[:, 1:], rhos), G)
             for i in range(X.shape[0]):
+                assert values[i, 0] == prob.objective(X[i])
                 assert f[i] == _serial_merit(prob, X[i], rho)
                 assert np.array_equal(G[i], _serial_merit_grad(prob, X[i], rho))
 
@@ -222,8 +293,9 @@ def test_stacked_merit_and_gradient_match_serial():
 def test_empty_descent_stack():
     prob = build_fixture("example-4.2")
     empty = np.zeros((0, prob.n, prob.p))
-    out = oracle._penalty_descent(prob.trace_matrices(), *prob.bounds(), empty, 10.0)
+    out, counts = oracle._penalty_descent(prob.trace_matrices(), *prob.bounds(), empty, 0)
     assert out.shape == empty.shape
+    assert counts == oracle.DescentCounts(rounds=0, gradients=0, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +455,13 @@ def _polish(prob: ElsProblem, X: np.ndarray) -> StiefelPoint | None:
 
 def _descended(prob, restarts, seed):
     """The restart and grid points oracle_solve hands to the polish."""
-    mats = prob.trace_matrices()
-    lower, upper = prob.bounds()
-    X = np.array(
-        [random_stiefel(prob.n, prob.p, np.random.default_rng([seed, r])) for r in range(restarts)]
-    ).reshape(-1, prob.n, prob.p)
+    X = _random_starts(prob, restarts, seed)
     grid = oracle._grid_starts(prob)
-    for rho in oracle._RHO_SCHEDULE:
-        X = oracle._penalty_descent(mats, lower, upper, X, rho)
-    for rho in (1e3, 1e4):
-        grid = oracle._penalty_descent(mats, lower, upper, grid, rho)
-    return np.concatenate([X, grid])
+    first_stage = np.repeat([0, oracle._GRID_STAGE], [len(X), len(grid)])
+    descended, _ = oracle._penalty_descent(
+        prob.trace_matrices(), *prob.bounds(), np.concatenate([X, grid]), first_stage
+    )
+    return descended
 
 
 def _assert_polish_agrees(prob, X):
@@ -491,6 +559,26 @@ def test_negative_restarts_are_rejected(monkeypatch):
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_negative_seed_is_rejected(monkeypatch):
+    from els import pipeline
+    from els.errors import InvalidInput
+
+    prob = build_fixture("example-4.2")
+    message = "seed must be nonnegative, got -1"
+    with pytest.raises(InvalidInput, match=message):
+        oracle_solve(prob, seed=-1)
+    mm = MinimaxProblem(base=prob, pieces=[MinimaxPiece(A=prob.A0, c=0.0)])
+    with pytest.raises(InvalidInput, match=message):
+        minimax_oracle(mm, seed=-1)
+
+    def no_relaxation(*args, **kwargs):
+        raise AssertionError("the relaxation ran before the seed was checked")
+
+    monkeypatch.setattr(pipeline, "solve_cr", no_relaxation)
+    with pytest.raises(InvalidInput, match=message):
+        pipeline.solve_report(prob, with_oracle=True, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # Grids and start selection.
 # ---------------------------------------------------------------------------
@@ -575,6 +663,11 @@ def test_diagnostics_count_starts_and_name_the_winner():
     kind, index = diag.winner
     assert kind in ("restart", "grid")
     assert 0 <= index < (6 if kind == "restart" else diag.starts - 6)
+    d = diag.descent
+    # at least one gradient per stage: four for a restart, two for a grid start
+    assert d.gradients >= 4 * 6 + 2 * (diag.starts - 6)
+    assert 0 < d.rounds <= d.trials
+    assert diag.as_dict()["descent"] == {"rounds": d.rounds, "gradients": d.gradients, "trials": d.trials}
     # repeat runs give the same counters
     assert oracle_solve(prob, restarts=6, seed=0)[2] == diag
 
@@ -590,5 +683,11 @@ def test_no_feasible_point_carries_diagnostics():
         oracle_solve(prob, restarts=5, seed=0)
     diag = info.value.diagnostics
     assert diag.feasible_starts == 0 and diag.winner is None
-    assert diag.as_dict() == {"starts": diag.starts, "feasible_starts": 0, "winner": None}
+    assert diag.as_dict() == {
+        "starts": diag.starts,
+        "feasible_starts": 0,
+        "winner": None,
+        "descent": diag.descent.as_dict(),
+    }
     assert diag.starts >= 5
+    assert diag.descent.gradients >= len(oracle._RHO_SCHEDULE) * 5

@@ -44,6 +44,7 @@ def _entry(index=0):
             "starts": 60,
             "feasible_starts": 58,
             "winner": {"kind": "restart", "index": 3},
+            "descent": {"rounds": 900, "gradients": 4000, "trials": 11000},
         },
     }
     return {"workload": "w", "seed": 301, "index": index, "instance": "i", "report": report, "checks": []}
@@ -95,6 +96,21 @@ def test_oracle_point_and_winner_changes_are_listed_not_failed(tmp_path, capsys)
     assert "oracle.winner.kind: 1" in out and "oracle.winner.index: 1, 12" in out
     assert "oracle.value: 1" in out
     assert "MISMATCH" not in out
+
+
+def test_oracle_descent_counters_are_listed_not_failed(tmp_path, capsys):
+    def edit(r):
+        r["oracle"]["descent"] = {"rounds": 300, "gradients": 4001, "trials": 11000}
+
+    code, out = _diff(tmp_path, capsys, edit)
+    assert code == 0
+    assert "oracle.descent.rounds: 1, 600" in out and "oracle.descent.gradients: 1, 1" in out
+    assert "MISMATCH" not in out
+
+    # reports written before the counters existed compare clean as well
+    code, out = _diff(tmp_path, capsys, lambda r: r["oracle"].pop("descent"))
+    assert code == 0
+    assert "oracle.descent.trials: 1" in out and "MISMATCH" not in out
 
 
 def _no_oracle_value(r):

@@ -21,7 +21,9 @@ objective moves by more than 1e-5, an oracle value moves by more than
 1e-9 (1 + |value|), a report's check messages differ, or the two files do
 not hold the same reports.  The oracle's point,
 ``max_residual`` and ``winner`` are listed only: where several starts reach
-the same minimizer, which of them is lowest is a matter of rounding.
+the same minimizer, which of them is lowest is a matter of rounding.  So
+are the descent counters ``oracle.descent.{rounds,gradients,trials}``,
+which record how the search ran, not what it found.
 """
 
 from __future__ import annotations
