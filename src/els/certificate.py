@@ -17,6 +17,12 @@ Lambda has a closed form from one p x p eigendecomposition of X*.T X*, so
 Lambda is eliminated first; what is left is a sign-constrained
 least-squares problem in the active lambda only, solved by a Lawson-Hanson
 active-set iteration (``linalg.signed_lstsq``).
+
+Both local-route tests work in the tangent space (Edelman, Arias & Smith
+1998): LICQ ranks the active rows' tangent projections, and the
+second-order test (``second_order_check``) is closed-form unless
+n - p <= |act|.  With the fixed tolerances below the local route can only
+confirm lemma 5.1 (see ``certify_global``).
 """
 
 from __future__ import annotations
@@ -27,12 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOL, numeric_rank, nullspace_basis, signed_lstsq
+from .linalg import DEFAULT_TOL, numeric_rank, nullspace_basis, signed_lstsq, symmetric_basis
 from .problem import ElsProblem, StiefelPoint, residuals
 
 ROUTE_MULTIPLIER = "lemma-5.1"
 ROUTE_LOCAL = "theorem-5.1"
 ROUTE_NONE = "none"
+
+ACT_TOL = 1e-6  # a bound is active within ACT_TOL * (1 + |bound|)
+KKT_TOL = 1e-6  # stationarity residual allowed, relative to 1 + ||A0||
+PSD_TOL = 1e-7  # Lambda is PSD when lambda_min >= -PSD_TOL * (1 + ||Lambda||)
+SO_TOL = 1e-7   # second order holds when the critical form's minimum >= -SO_TOL
 
 
 @dataclass
@@ -42,26 +53,25 @@ class ActiveSet:
     upper_active: list[int]
     lower_active: list[int]
     equality_active: list[int]
-    act_tol: float
 
     @property
     def indices(self) -> list[int]:
         return sorted(set(self.upper_active) | set(self.lower_active) | set(self.equality_active))
 
 
-def active_set(prob: ElsProblem, X, act_tol: float = 1e-6) -> ActiveSet:
-    """Detect active constraints with tolerance act_tol * (1 + |bound|)."""
+def active_set(prob: ElsProblem, X) -> ActiveSet:
+    """Detect active constraints with tolerance ACT_TOL * (1 + |bound|)."""
     values = prob.constraint_values(X)
     up, lo, eq = [], [], []
     for i, (c, v) in enumerate(zip(prob.constraints, values)):
         if c.is_equality:
             eq.append(i)
             continue
-        if math.isfinite(c.upper) and abs(v - c.upper) <= act_tol * (1.0 + abs(c.upper)):
+        if math.isfinite(c.upper) and abs(v - c.upper) <= ACT_TOL * (1.0 + abs(c.upper)):
             up.append(i)
-        if math.isfinite(c.lower) and abs(v - c.lower) <= act_tol * (1.0 + abs(c.lower)):
+        if math.isfinite(c.lower) and abs(v - c.lower) <= ACT_TOL * (1.0 + abs(c.lower)):
             lo.append(i)
-    return ActiveSet(upper_active=up, lower_active=lo, equality_active=eq, act_tol=act_tol)
+    return ActiveSet(upper_active=up, lower_active=lo, equality_active=eq)
 
 
 @dataclass
@@ -75,7 +85,7 @@ class KktFit:
     kkt_ok: bool
 
 
-def _point_matrix(prob: ElsProblem, Xstar) -> np.ndarray:
+def _point_matrix(Xstar) -> np.ndarray:
     if isinstance(Xstar, StiefelPoint):
         return Xstar.X
     return np.asarray(Xstar, dtype=float)
@@ -100,7 +110,7 @@ def _eliminate_lambda(X: np.ndarray, A: np.ndarray):
     return W, L, P + L @ Y.T
 
 
-def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e-6) -> KktFit:
+def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet) -> KktFit:
     """Least-squares multiplier fit with complementarity by construction.
 
     Minimizes the Frobenius norm of the stationarity matrix
@@ -116,7 +126,7 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     Lawson-Hanson active-set iteration of ``signed_lstsq``; Lambda is then
     the closed form at A0 + sum_i lambda_i A_i.
     """
-    X = _point_matrix(prob, Xstar)
+    X = _point_matrix(Xstar)
     point = residuals(prob, X)
     if not point.feasible(1e-6):
         raise InvalidInput(
@@ -146,7 +156,7 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     values = np.trace(A[1:] @ X, axis1=1, axis2=2)  # of the active rows
     gap = values - np.where(lam_act > 0.0, upper[owners], lower[owners])
     comp = float(np.abs(lam_act * np.where(lam_act != 0.0, gap, 0.0)).max(initial=0.0))
-    kkt_ok = stat <= kkt_tol * (1.0 + float(np.linalg.norm(prob.A0)))
+    kkt_ok = stat <= KKT_TOL * (1.0 + float(np.linalg.norm(prob.A0)))
     return KktFit(
         lam=lam,
         Lambda=Lambda,
@@ -156,66 +166,48 @@ def fit_multipliers(prob: ElsProblem, Xstar, act: ActiveSet, kkt_tol: float = 1e
     )
 
 
-def _orthonormality_gradients(X: np.ndarray, halve_diagonal: bool) -> list[np.ndarray]:
-    """Gradients of the constraints X_i . X_j = delta_ij, as n x p matrices.
-
-    ``halve_diagonal`` uses X_i instead of 2 X_i on the diagonal rows; the
-    scaling never changes ranks or null spaces.
-    """
-    n, p = X.shape
-    grads = []
-    for i in range(p):
-        for j in range(i, p):
-            G = np.zeros((n, p))
-            if i == j:
-                G[:, i] = X[:, i] if halve_diagonal else 2.0 * X[:, i]
-            else:
-                G[:, i] = X[:, j]
-                G[:, j] = X[:, i]
-            grads.append(G)
-    return grads
-
-
 def licq_check(prob: ElsProblem, Xstar, act: ActiveSet) -> tuple[bool, int]:
-    """Rank test of the stacked gradients of all orthonormality constraints
-    and the active linear constraints; LICQ holds when they are independent.
+    """Rank test of the gradients of all orthonormality constraints and the
+    active linear constraints; LICQ holds when they are independent.
+
+    The orthonormality gradients span the normal space {X S : S symmetric},
+    of dimension p(p+1)/2, so the rank is that plus the rank of the active
+    rows' tangent projections, the residuals of ``_eliminate_lambda``.
     """
-    X = _point_matrix(prob, Xstar)
-    grads = [G.ravel(order="F") for G in _orthonormality_gradients(X, halve_diagonal=True)]
-    for i in act.indices:
-        grads.append(prob.constraints[i].A.T.ravel(order="F"))
-    J = np.array(grads)
-    rank = numeric_rank(J, DEFAULT_TOL)
-    return rank == J.shape[0], rank
+    X = _point_matrix(Xstar)
+    owners = act.indices
+    R = _eliminate_lambda(X, prob.constraint_matrices()[owners])[2]
+    normal = prob.p * (prob.p + 1) // 2
+    rank = normal + numeric_rank(R.reshape(len(owners), X.size), DEFAULT_TOL)
+    return rank == normal + len(owners), rank
 
 
-def critical_subspace(prob: ElsProblem, Xstar, act: ActiveSet) -> np.ndarray:
-    """Orthonormal basis (columns) of the directions V with tr(A_i V) = 0 for
-    every active i and V_i . X_j + V_j . X_i = 0 for all i <= j."""
-    X = _point_matrix(prob, Xstar)
-    rows = [G.ravel(order="F") for G in _orthonormality_gradients(X, halve_diagonal=False)]
-    for i in act.indices:
-        rows.append(prob.constraints[i].A.T.ravel(order="F"))
-    return nullspace_basis(np.array(rows), DEFAULT_TOL)
-
-
-def second_order_check(
-    prob: ElsProblem,
-    Xstar,
-    act: ActiveSet,
-    fit: KktFit,
-    so_tol: float = 1e-7,
-) -> bool:
+def second_order_check(prob: ElsProblem, Xstar, act: ActiveSet, fit: KktFit) -> bool:
     """Second-order necessary condition on the critical subspace.
 
-    Checks that the quadratic form V -> tr(Lambda V.T V) is PSD on the
-    subspace of ``critical_subspace``; vacuously true when it is trivial.
+    Checks that the quadratic form V -> tr(Lambda V.T V) is PSD, to SO_TOL,
+    on the tangent directions V with tr(A_i V) = 0 for every active i.  With
+    omega = lambda_min(Lambda) and eigenvector w:
+
+    * omega >= -SO_TOL passes, since tr(Lambda V.T V) >= omega ||V||^2;
+    * otherwise n - p > |act| fails: some u != 0 in R^(n-p) is orthogonal
+      to every X_perp.T A_i.T w, and V = X_perp u w.T is critical with form
+      value omega ||V||^2;
+    * otherwise the form is reduced to an n p sized null-space basis of the
+      critical subspace; vacuously true when that is trivial.
     """
-    Z = critical_subspace(prob, Xstar, act)
+    if np.linalg.eigvalsh(fit.Lambda).min() >= -SO_TOL:
+        return True
+    if prob.n - prob.p > len(act.indices):
+        return False
+    X = _point_matrix(Xstar)
+    rows = [(X @ S).ravel(order="F") for S in symmetric_basis(prob.p)]
+    rows += [prob.constraints[i].A.T.ravel(order="F") for i in act.indices]
+    Z = nullspace_basis(np.array(rows), DEFAULT_TOL)
     if Z.shape[1] == 0:
         return True
     reduced = _critical_form(Z, fit.Lambda)
-    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).min()) >= -so_tol
+    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).min()) >= -SO_TOL
 
 
 def _critical_form(Z: np.ndarray, Lambda: np.ndarray) -> np.ndarray:
@@ -262,32 +254,28 @@ class CertificateVerdict:
         return d
 
 
-def certify_global(
-    prob: ElsProblem,
-    Xstar,
-    act_tol: float = 1e-6,
-    kkt_tol: float = 1e-6,
-    psd_tol: float = 1e-7,
-    so_tol: float = 1e-7,
-) -> CertificateVerdict:
+def certify_global(prob: ElsProblem, Xstar) -> CertificateVerdict:
     """Run both certificate routes at a feasible candidate point.
 
     A negative verdict is inconclusive unless the local route's hypotheses
     all hold, in which case failure of second-order necessity rules out
     local minimality as well.
     """
-    X = _point_matrix(prob, Xstar)
-    act = active_set(prob, X, act_tol)
-    fit = fit_multipliers(prob, X, act, kkt_tol)
+    X = _point_matrix(Xstar)
+    act = active_set(prob, X)
+    fit = fit_multipliers(prob, X, act)
     lambda_psd = bool(
-        np.linalg.eigvalsh(fit.Lambda).min() >= -psd_tol * (1.0 + np.linalg.norm(fit.Lambda))
+        np.linalg.eigvalsh(fit.Lambda).min() >= -PSD_TOL * (1.0 + np.linalg.norm(fit.Lambda))
     )
     licq, jac_rank = licq_check(prob, X, act)
-    second_ok = second_order_check(prob, X, act, fit, so_tol) if fit.kkt_ok else False
+    second_ok = second_order_check(prob, X, act, fit) if fit.kkt_ok else False
 
     dimension_ok = prob.p + 1 <= prob.n - prob.k
     if fit.kkt_ok and lambda_psd:
         route, is_global = ROUTE_MULTIPLIER, True
+    # Only confirms lemma 5.1: p + 1 <= n - k gives n - p > |act|, where
+    # second order holds only if lambda_min(Lambda) >= -SO_TOL, and
+    # PSD_TOL (1 + ||Lambda||) >= SO_TOL makes Lambda PSD there as well.
     elif licq and fit.kkt_ok and second_ok and dimension_ok:
         route, is_global = ROUTE_LOCAL, True
     else:

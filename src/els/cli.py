@@ -43,7 +43,10 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else ELS_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("ELS_SEED", "0")
     try:
         return int(raw)
@@ -108,8 +111,7 @@ def _read(path: str) -> str:
 
 
 def _config(args) -> SolverConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return SolverConfig(tol=args.tol, seed=seed)
+    return SolverConfig(tol=args.tol)
 
 
 def _status_exit(status: str) -> int:
@@ -119,14 +121,13 @@ def _status_exit(status: str) -> int:
 
 def _cmd_solve(args) -> int:
     prob = parse_problem(_read(args.problem))
-    cfg = _config(args)
     report = solve_report(
         prob,
-        cfg,
+        _config(args),
         rank_tol=args.rank_tol,
         with_oracle=args.with_oracle,
         restarts=args.restarts,
-        seed=cfg.seed,
+        seed=_seed(args),
     )
     _emit(report, args.out)
     return _status_exit(report["relaxation"]["status"])
@@ -158,13 +159,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     prob = parse_problem(_read(args.problem))
-    cfg = _config(args)
+    seed = _seed(args)
     doc = {
         "schema": "els-oracle/1",
         "problem": {"n": prob.n, "p": prob.p, "k": prob.k, "digest": problem_digest(prob)},
     }
     try:
-        value, point, diagnostics = oracle_solve(prob, restarts=args.restarts, seed=cfg.seed)
+        value, point, diagnostics = oracle_solve(prob, restarts=args.restarts, seed=seed)
     except NoFeasiblePoint as exc:
         _emit({**doc, "value": None, "error": str(exc), **exc.diagnostics.as_dict()}, args.out)
         return EXIT_INFEASIBLE
@@ -221,7 +222,7 @@ def _cmd_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ElsError(f"{directory} is not a directory")
-    cfg = _config(args)
+    cfg, seed = _config(args), _seed(args)
     rows = []
     for path in sorted(directory.glob("*.json")):
         row = {"file": path.name}
@@ -233,7 +234,7 @@ def _cmd_batch(args) -> int:
                 rank_tol=args.rank_tol,
                 with_oracle=args.with_oracle,
                 restarts=args.restarts,
-                seed=cfg.seed,
+                seed=seed,
             )
             row.update(
                 status=report["relaxation"]["status"],

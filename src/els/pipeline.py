@@ -88,7 +88,7 @@ def solve_report(
     """
     if with_oracle:
         check_search_args(restarts, seed)
-    cfg = cfg or SolverConfig(seed=seed)
+    cfg = cfg or SolverConfig()
     solve_cfg = replace(cfg, tol=min(cfg.tol, _PIPELINE_TOL))
     timings: dict[str, float] = {}
     report: dict = {

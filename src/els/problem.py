@@ -158,7 +158,16 @@ def _bound_from_json(raw, what: str) -> float:
         return math.inf
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{what} must be a number or 'inf'/'-inf', got {raw!r}")
-    return float(raw)
+    return float(_floats(raw, what))
+
+
+def _floats(raw, what: str) -> np.ndarray:
+    """``raw`` as a float array; an integer literal beyond the float range
+    is a ParseError naming ``what``."""
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:
+        raise ParseError(f"{what} holds an integer too large for a float") from None
 
 
 def _bound_to_json(b: float):
@@ -169,7 +178,7 @@ def _bound_to_json(b: float):
     return b
 
 
-def _rows_from_json(raw, what: str) -> list:
+def _rows_from_json(raw, what: str) -> np.ndarray:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ParseError(f"{what} must be a list of rows")
     for r in raw:
@@ -179,7 +188,7 @@ def _rows_from_json(raw, what: str) -> list:
     lengths = sorted({len(r) for r in raw})
     if len(lengths) > 1:
         raise ParseError(f"{what} rows must have equal lengths, got lengths {lengths}")
-    return raw
+    return _floats(raw, what)
 
 
 def parse_problem(text: str) -> ElsProblem:
@@ -193,23 +202,26 @@ def parse_problem(text: str) -> ElsProblem:
     for key in ("n", "p", "A0"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}")
-    if not isinstance(doc["n"], int) or not isinstance(doc["p"], int):
+    if any(isinstance(doc[key], bool) or not isinstance(doc[key], int) for key in ("n", "p")):
         raise ParseError("fields 'n' and 'p' must be integers")
+    raw_constraints = doc.get("constraints", [])
+    if not isinstance(raw_constraints, list):
+        raise ParseError("field 'constraints' must be a list")
     constraints = []
-    for i, raw in enumerate(doc.get("constraints", [])):
+    for i, raw in enumerate(raw_constraints):
         if not isinstance(raw, dict) or "A" not in raw:
             raise ParseError(f"constraint {i} must be an object with field 'A'")
         try:
             constraints.append(
                 LinearConstraint(
-                    A=np.array(_rows_from_json(raw["A"], f"constraint {i} matrix"), dtype=float),
+                    A=_rows_from_json(raw["A"], f"constraint {i} matrix"),
                     lower=_bound_from_json(raw.get("lower", "-inf"), f"constraint {i} lower"),
                     upper=_bound_from_json(raw.get("upper", "inf"), f"constraint {i} upper"),
                 )
             )
         except ValidationError as exc:
             raise ValidationError(f"constraint {i}: {exc}") from exc
-    A0 = np.array(_rows_from_json(doc["A0"], "A0"), dtype=float)
+    A0 = _rows_from_json(doc["A0"], "A0")
     return ElsProblem(n=doc["n"], p=doc["p"], A0=A0, constraints=constraints)
 
 
@@ -235,7 +247,7 @@ def parse_point(text: str, prob: ElsProblem | None = None) -> np.ndarray:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or "X" not in doc:
         raise ParseError("point file must be an object with field 'X'")
-    X = np.array(_rows_from_json(doc["X"], "X"), dtype=float)
+    X = _rows_from_json(doc["X"], "X")
     if prob is not None and X.shape != (prob.n, prob.p):
         raise ValidationError(f"point has shape {X.shape}, expected {(prob.n, prob.p)}")
     return X
@@ -298,7 +310,9 @@ def parse_minimax_problem(text: str) -> MinimaxProblem:
         c = raw.get("c", 0.0)
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise ParseError(f"piece {i} offset must be a number")
-        pieces.append(MinimaxPiece(A=np.array(_rows_from_json(raw["A"], f"piece {i}"), dtype=float), c=float(c)))
+        pieces.append(
+            MinimaxPiece(A=_rows_from_json(raw["A"], f"piece {i}"), c=float(_floats(c, f"piece {i} offset")))
+        )
     return MinimaxProblem(base=base, pieces=pieces)
 
 

@@ -69,7 +69,6 @@ class SolverConfig:
     max_newton: int = 200      # Newton-step budget per phase
     barrier_mu: float = 5.0    # path parameter multiplier per outer step
     feas_tol: float = 1e-9     # phase-I infeasibility threshold
-    seed: int = 0              # echoed into reports; the solver is deterministic
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.feas_tol <= 0.0:

@@ -4,26 +4,101 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from els import certificate
 from els.certificate import (
+    PSD_TOL,
+    SO_TOL,
     KktFit,
     _critical_form,
     active_set,
     certify_global,
-    critical_subspace,
     fit_multipliers,
     licq_check,
     second_order_check,
 )
 from els.errors import InvalidInput
 from els.fixtures import build_fixture
-from els.linalg import random_stiefel, symmetric_basis, thin_svd
+from els.linalg import (
+    DEFAULT_TOL,
+    nullspace_basis,
+    numeric_rank,
+    random_stiefel,
+    symmetric_basis,
+    thin_svd,
+)
 from els.pipeline import solve_report
 from els.problem import ElsProblem, LinearConstraint, parse_problem, residuals
 from els.solver import solve_ls_svd
 from tests.test_linalg import _brute_signed_lstsq
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# Reference: the n p sized construction of the constraint Jacobian and the
+# critical subspace, which the certificate replaces by tangent projections
+# and a closed-form second-order test.
+
+
+def _orthonormality_gradients(X, halve_diagonal):
+    """Gradients of X_i . X_j = delta_ij (i <= j) as n x p matrices; with
+    ``halve_diagonal`` the diagonal rows use X_i instead of 2 X_i."""
+    n, p = X.shape
+    grads = []
+    for i in range(p):
+        for j in range(i, p):
+            G = np.zeros((n, p))
+            if i == j:
+                G[:, i] = X[:, i] if halve_diagonal else 2.0 * X[:, i]
+            else:
+                G[:, i] = X[:, j]
+                G[:, j] = X[:, i]
+            grads.append(G)
+    return grads
+
+
+def _stacked_rows(prob, X, act, halve_diagonal):
+    rows = [G.ravel(order="F") for G in _orthonormality_gradients(X, halve_diagonal)]
+    rows += [prob.constraints[i].A.T.ravel(order="F") for i in act.indices]
+    return np.array(rows)
+
+
+def reference_jacobian_rank(prob, X, act):
+    return numeric_rank(_stacked_rows(prob, X, act, halve_diagonal=True), DEFAULT_TOL)
+
+
+def critical_subspace(prob, X, act):
+    """Orthonormal basis (columns) of the directions V with tr(A_i V) = 0 for
+    every active i and V_i . X_j + V_j . X_i = 0 for all i <= j."""
+    return nullspace_basis(_stacked_rows(prob, X, act, halve_diagonal=False), DEFAULT_TOL)
+
+
+def reference_second_order(prob, X, act, fit):
+    Z = critical_subspace(prob, X, act)
+    if Z.shape[1] == 0:
+        return True
+    reduced = _critical_form(Z, fit.Lambda)
+    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).min()) >= -SO_TOL
+
+
+def reference_verdict(prob, X):
+    """The certificate's ``VERDICT_FIELDS`` from the n p sized construction."""
+    act = active_set(prob, X)
+    fit = fit_multipliers(prob, X, act)
+    omega = np.linalg.eigvalsh(fit.Lambda).min()
+    lambda_psd = bool(omega >= -PSD_TOL * (1.0 + np.linalg.norm(fit.Lambda)))
+    rank = reference_jacobian_rank(prob, X, act)
+    licq = rank == prob.p * (prob.p + 1) // 2 + len(act.indices)
+    second_ok = fit.kkt_ok and reference_second_order(prob, X, act, fit)
+    if fit.kkt_ok and lambda_psd:
+        route = "lemma-5.1"
+    elif licq and fit.kkt_ok and second_ok and prob.p + 1 <= prob.n - prob.k:
+        route = "theorem-5.1"
+    else:
+        route = "none"
+    return (fit.kkt_ok, lambda_psd, licq, second_ok, route != "none", route, rank)
 
 
 def test_fit_multipliers_global_point():
@@ -309,6 +384,8 @@ def test_fit_duplicated_row_takes_the_minimum_norm_split(side):
     assert certify_global(prob, X).is_global
 
 
+VERDICT_FIELDS = ("kkt_ok", "lambda_psd", "licq", "second_order_ok", "global", "route", "jacobian_rank")
+
 # The certificate blocks of `els solve` on the fixture files that reach it.
 FIXTURE_VERDICTS = {
     "dispersion-example": (True, True, True, True, True, "lemma-5.1", 1),
@@ -321,5 +398,105 @@ FIXTURE_VERDICTS = {
 def test_fixture_certificate_verdicts(name):
     prob = parse_problem((FIXDIR / f"{name}.json").read_text())
     cert = solve_report(prob)["certificate"]
-    fields = ("kkt_ok", "lambda_psd", "licq", "second_order_ok", "global", "route", "jacobian_rank")
-    assert tuple(cert[f] for f in fields) == FIXTURE_VERDICTS[name]
+    assert tuple(cert[f] for f in VERDICT_FIELDS) == FIXTURE_VERDICTS[name]
+
+
+def _random_kkt_instance(seed, n, p, k, psd):
+    """A problem with X exactly stationary: random rows, duplicated rows and
+    rows in the normal space {S X.T}, each active on one side (or on both,
+    or inactive), with signed multipliers and a PSD or indefinite Lambda."""
+    rng = np.random.default_rng(seed)
+    X = random_stiefel(n, p, rng)
+    mats, constraints, lam = [], [], []
+    for i in range(k):
+        shape = rng.choice(["random", "duplicate", "normal"]) if i else "random"
+        if shape == "duplicate":
+            A = mats[int(rng.integers(i))] * rng.choice([1.0, -2.0])
+        elif shape == "normal":
+            S = rng.standard_normal((p, p))
+            A = (S + S.T) @ X.T
+        else:
+            A = rng.standard_normal((p, n))
+        mats.append(A)
+        side = rng.choice(["upper", "lower", "equality", "both", "inactive"])
+        value = np.trace(A @ X)
+        if side == "inactive":
+            constraints.append(LinearConstraint(A=A, lower=value - 1.0))
+            lam.append(0.0)
+            continue
+        constraints.append(LinearConstraint(A=A, **_bound(value, side)))
+        size = rng.uniform(0.1, 2.0)
+        lam.append({"upper": size, "lower": -size}.get(side, rng.standard_normal()))
+    Q = random_stiefel(p, p, rng)
+    d = rng.standard_normal(p)
+    d = np.abs(d) if psd else np.where(np.arange(p) == 0, -0.1 - np.abs(d), d)
+    Lambda = Q @ np.diag(d) @ Q.T
+    A0 = -(sum((l * A for l, A in zip(lam, mats)), np.zeros((p, n))) + Lambda @ X.T)
+    return ElsProblem(n=n, p=p, A0=A0, constraints=constraints), X
+
+
+_SIZES = st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+_KKT_POINTS = st.builds(
+    lambda seed, size, k, psd: _random_kkt_instance(seed, *size, k, psd),
+    st.integers(0, 2**32 - 1),
+    _SIZES,
+    st.integers(0, 4),
+    st.booleans(),
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(instance=_KKT_POINTS)
+# n - p = 1 <= |act| = 2 and Lambda indefinite, yet the form is positive on
+# the one-dimensional critical subspace
+@example(instance=_random_kkt_instance(1, 3, 2, 3, psd=False))
+def test_certificate_matches_np_sized_reference(instance):
+    prob, X = instance
+    cert = certify_global(prob, X).as_dict()
+    assert tuple(cert[f] for f in VERDICT_FIELDS) == reference_verdict(prob, X)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(instance=_KKT_POINTS)
+def test_local_route_never_fires(instance):
+    # p + 1 <= n - k leaves n - p > |act|, where second order holds only for
+    # lambda_min(Lambda) >= -SO_TOL, and then lemma 5.1 certifies first
+    prob, X = instance
+    assert certify_global(prob, X).route != "theorem-5.1"
+
+
+@pytest.mark.parametrize(
+    "X, expected, null_spaces",
+    [
+        # Lambda = 2: passes without a critical subspace
+        ([[0.0], [1.0]], True, 0),
+        # Lambda = -2 and n - p = 2 > |act| = 1: fails in closed form
+        ([[0.0], [-1.0], [0.0]], False, 0),
+        # example-5.1's local point, Lambda = -2 and n - p = 1 = |act|:
+        # the critical subspace is trivial
+        ([[0.0], [-1.0]], True, 1),
+    ],
+    ids=["psd", "closed-form", "null-space"],
+)
+def test_second_order_branches(monkeypatch, X, expected, null_spaces):
+    # example-5.1, padded with zero columns to n = 3 for the second case
+    X = np.array(X)
+    n = X.shape[0]
+    base = build_fixture("example-5.1")
+    pad = np.zeros((1, n - 2))
+    prob = ElsProblem(
+        n=n,
+        p=1,
+        A0=np.hstack([base.A0, pad]),
+        constraints=[LinearConstraint(A=np.hstack([base.constraints[0].A, pad]), upper=0.0)],
+    )
+    act = active_set(prob, X)
+    fit = fit_multipliers(prob, X, act)
+    assert act.indices == [0] and fit.kkt_ok
+    calls = []
+    monkeypatch.setattr(
+        certificate, "nullspace_basis", lambda *a: calls.append(a) or nullspace_basis(*a)
+    )
+    assert second_order_check(prob, X, act, fit) is expected
+    assert len(calls) == null_spaces
+    assert reference_second_order(prob, X, act, fit) is expected

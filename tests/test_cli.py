@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from els import cli
 from els.fixtures import build_fixture
 from els.pipeline import problem_digest
 from els.problem import parse_problem, serialize_minimax_problem, serialize_problem
@@ -261,6 +262,45 @@ def test_batch_reports_ragged_rows_per_file(tmp_path):
     assert rows[0]["status"] == "optimal" and rows[1]["status"] == "optimal"
     assert rows[2]["status"] == "error"
     assert "equal lengths" in rows[2]["error"]
+
+
+_HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+
+MALFORMED = {
+    "null-constraints": ('{"n": 2, "p": 1, "A0": [[1, 0]], "constraints": null}', "'constraints'"),
+    "bool-n": ('{"n": true, "p": 1, "A0": [[1]]}', "'n' and 'p'"),
+    "bool-p": ('{"n": 1, "p": false, "A0": [[1]]}', "'n' and 'p'"),
+    "huge-A0": ('{"n": 1, "p": 1, "A0": [[%s]]}' % _HUGE, "A0"),
+    "huge-constraint": (
+        '{"n": 1, "p": 1, "A0": [[1]], "constraints": [{"A": [[%s]], "upper": 1}]}' % _HUGE,
+        "constraint 0 matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_problem_is_one_error_line(tmp_path, capsys, case):
+    text, field = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("els: error:") and field in line
+
+
+def test_batch_writes_an_error_row_for_null_constraints(tmp_path, capsys):
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "a.json").write_text(MALFORMED["null-constraints"][0])
+    (d / "b.json").write_text(serialize_problem(build_fixture("example-5.1")))
+    out = tmp_path / "summary.json"
+    assert cli.main(["batch", str(d), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads(out.read_text())["instances"]
+    assert [(r["file"], r["status"]) for r in rows] == [("a.json", "error"), ("b.json", "optimal")]
+    assert "'constraints' must be a list" in rows[0]["error"]
 
 
 def test_seed_env_rejects_non_integer():
